@@ -55,31 +55,43 @@ use llstar_runtime::{
     SessionError, SpanTree, TokenStream,
 };
 use std::collections::{HashMap, VecDeque};
+use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::Sender;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Process-wide graceful-shutdown latch: transports poll it, the signal
-/// handler and `POST /shutdown` set it.
-pub static SHUTDOWN: AtomicBool = AtomicBool::new(false);
+/// Set by the SIGTERM/SIGINT handler and nothing else: an atomic store
+/// is all a signal handler may safely do. [`Server::drain_on_signal`]
+/// turns it into a [`Server::begin_drain`], off the request path.
+static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
-/// Installs a SIGTERM/SIGINT handler that sets [`SHUTDOWN`], so the
-/// daemon drains instead of dying mid-batch. Uses libc's `signal`
-/// symbol directly (already linked by std) — the workspace stays free
-/// of external crates. No-op on non-Unix targets.
+/// How often [`Server::drain_on_signal`] looks at the signal flag.
+const SIGNAL_POLL: Duration = Duration::from_millis(100);
+
+/// How long [`Server::begin_drain`] tries to connect to a listener to
+/// wake its accept loop.
+const WAKE_TIMEOUT: Duration = Duration::from_secs(1);
+
+/// Installs a SIGTERM/SIGINT handler that marks the process as
+/// signalled, so a server running [`Server::drain_on_signal`] drains
+/// instead of dying mid-batch. Uses libc's `signal` symbol directly
+/// (already linked by std) — the workspace stays free of external
+/// crates. No-op on non-Unix targets.
 pub fn register_shutdown_signals() {
     #[cfg(unix)]
     {
         extern "C" fn on_signal(_sig: i32) {
-            SHUTDOWN.store(true, Ordering::SeqCst);
+            SIGNALLED.store(true, Ordering::SeqCst);
         }
         extern "C" {
             fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
         }
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
+        // SAFETY: `on_signal` is an `extern "C"` function that only
+        // stores to an atomic, which is async-signal-safe.
         unsafe {
             signal(SIGTERM, on_signal);
             signal(SIGINT, on_signal);
@@ -463,14 +475,20 @@ impl JobQueue {
 
 /// The state every worker shares through one `Arc`: the immutable
 /// grammar analyses, the bounded queue, the metrics registry, and the
-/// admission flag.
+/// stop signal.
 struct Shared {
     grammars: Vec<GrammarEntry>,
     opts: ServeOptions,
     queue: JobQueue,
     registry: MetricsRegistry,
     captures: CaptureLog,
+    /// Admission flag, read lock-free on every request; it only ever
+    /// goes from true to false, under the `listeners` lock.
     accepting: AtomicBool,
+    /// Wake addresses of the listeners [`http::run_http`] is blocked on.
+    listeners: Mutex<Vec<SocketAddr>>,
+    /// Notified when the server starts draining.
+    stopped: Condvar,
     received: AtomicU64,
     completed: AtomicU64,
     rejected: AtomicU64,
@@ -517,6 +535,8 @@ impl Server {
             registry: MetricsRegistry::new(),
             captures: CaptureLog::default(),
             accepting: AtomicBool::new(true),
+            listeners: Mutex::new(Vec::new()),
+            stopped: Condvar::new(),
             received: AtomicU64::new(0),
             completed: AtomicU64::new(0),
             rejected: AtomicU64::new(0),
@@ -691,16 +711,76 @@ impl Server {
         }
     }
 
-    /// Stops admitting requests and closes the queue. Queued requests
-    /// still complete; subsequent submissions answer `shutdown`.
+    /// The server's stop signal: stops admitting requests, closes the
+    /// queue, wakes every [`Server::wait_for_drain`] caller, and wakes
+    /// each listener blocked in [`http::run_http`] with a connection to
+    /// itself. Queued requests still complete; subsequent submissions
+    /// answer `shutdown`. Idempotent, and stops this server only.
     pub fn begin_drain(&self) {
-        self.shared.accepting.store(false, Ordering::SeqCst);
+        let listeners = {
+            let mut listeners = self.listeners();
+            self.shared.accepting.store(false, Ordering::SeqCst);
+            self.shared.stopped.notify_all();
+            std::mem::take(&mut *listeners)
+        };
         self.shared.queue.close();
+        for addr in listeners {
+            // The accept loop sees the drain once `accept` returns; the
+            // connection itself carries nothing. A refused connection
+            // means the loop has already gone.
+            let _ = TcpStream::connect_timeout(&addr, WAKE_TIMEOUT);
+        }
     }
 
     /// Whether [`Server::begin_drain`] has been called.
     pub fn is_draining(&self) -> bool {
         !self.shared.accepting.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until the server drains or `timeout` passes; returns
+    /// [`Server::is_draining`].
+    pub fn wait_for_drain(&self, timeout: Duration) -> bool {
+        let (_listeners, _timeout) = self
+            .shared
+            .stopped
+            .wait_timeout_while(self.listeners(), timeout, |_| !self.is_draining())
+            .unwrap_or_else(PoisonError::into_inner);
+        self.is_draining()
+    }
+
+    /// Blocks until the server drains, calling [`Server::begin_drain`]
+    /// first if SIGTERM or SIGINT arrives (see
+    /// [`register_shutdown_signals`]). Run it on a thread of its own.
+    pub fn drain_on_signal(&self) {
+        while !self.wait_for_drain(SIGNAL_POLL) {
+            if SIGNALLED.load(Ordering::SeqCst) {
+                self.begin_drain();
+            }
+        }
+    }
+
+    /// Registers a listener for [`Server::begin_drain`] to wake, and
+    /// returns false (registering nothing) when the server is already
+    /// draining.
+    pub(crate) fn register_listener(&self, addr: SocketAddr) -> bool {
+        let mut listeners = self.listeners();
+        if self.is_draining() {
+            return false;
+        }
+        listeners.push(addr);
+        true
+    }
+
+    /// Forgets a listener whose accept loop has ended.
+    pub(crate) fn unregister_listener(&self, addr: SocketAddr) {
+        self.listeners().retain(|a| *a != addr);
+    }
+
+    /// The `listeners` lock. Every update leaves the address list
+    /// valid, so a poisoned lock is recovered rather than propagated
+    /// (this runs in `Drop`, which must not panic).
+    fn listeners(&self) -> MutexGuard<'_, Vec<SocketAddr>> {
+        self.shared.listeners.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Graceful shutdown: drains the queue and joins every worker.

@@ -6,15 +6,15 @@
 //! reorder buffer keyed by line number. The reader blocks on
 //! [`crate::Server::submit`] when the queue is full, so a fast producer
 //! piping a million-line batch gets real backpressure instead of
-//! unbounded buffering. EOF (or a tripped [`crate::SHUTDOWN`] latch)
-//! drains in-flight requests before returning.
+//! unbounded buffering. EOF (or a drain begun by
+//! [`crate::Server::begin_drain`]) drains in-flight requests before
+//! returning.
 
 use crate::Server;
 use llstar_core::schema::{ServeErrorKind, ServeRequest, ServeResponse, StreamKind};
 use llstar_core::Json;
 use std::collections::BTreeMap;
 use std::io::{BufRead, Write};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc;
 
 /// Pumps `input` lines through `server` and writes ordered responses to
@@ -45,21 +45,22 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
             }
             Ok(written)
         });
-        let mut line = String::new();
+        let mut line = Vec::new();
         let mut tag = 0u64;
         loop {
-            if crate::SHUTDOWN.load(Ordering::SeqCst) {
+            if server.is_draining() {
                 break;
             }
             line.clear();
-            if input.read_line(&mut line)? == 0 {
+            if input.read_until(b'\n', &mut line)? == 0 {
                 break; // EOF: drain and exit
             }
-            let trimmed = line.trim();
-            if trimmed.is_empty() {
-                continue;
-            }
-            match parse_request_line(trimmed) {
+            let parsed = match std::str::from_utf8(&line) {
+                Ok(text) if text.trim().is_empty() => continue,
+                Ok(text) => parse_request_line(text.trim()),
+                Err(_) => Err("request line is not utf-8".to_string()),
+            };
+            match parsed {
                 Ok(Some(request)) => {
                     server.submit(tag, request, &tx);
                     tag += 1;

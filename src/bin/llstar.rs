@@ -495,8 +495,7 @@ fn with_grammar(
 /// and/or over HTTP (`--http ADDR`). Runs until stdin EOF, SIGTERM/
 /// SIGINT, or `POST /shutdown`, then drains queued requests.
 fn serve_cmd(args: &[String], flags: &Flags) -> Result<(), String> {
-    use llstar::serve::{load_grammars, register_shutdown_signals, ServeOptions, Server, SHUTDOWN};
-    use std::sync::atomic::Ordering;
+    use llstar::serve::{load_grammars, register_shutdown_signals, ServeOptions, Server};
 
     let paths = &args[1..];
     if paths.is_empty() {
@@ -524,8 +523,15 @@ fn serve_cmd(args: &[String], flags: &Flags) -> Result<(), String> {
         capture_dir: flags.capture_dir.clone(),
         flight_recorder: flags.flight_recorder.unwrap_or(defaults.flight_recorder),
     };
+    // Bind before any thread starts, so a bad address fails fast.
+    let listener = match &flags.http {
+        Some(addr) => Some((
+            addr,
+            std::net::TcpListener::bind(addr).map_err(|e| format!("binding {addr}: {e}"))?,
+        )),
+        None => None,
+    };
     register_shutdown_signals();
-    SHUTDOWN.store(false, Ordering::SeqCst);
     let workers = opts.workers.max(1);
     let server = Server::start(entries, opts)?;
     eprintln!("serving {} grammar(s) across {workers} workers", server.grammars().len());
@@ -544,58 +550,54 @@ fn serve_cmd(args: &[String], flags: &Flags) -> Result<(), String> {
         std::fs::write(path, server.metrics_jsonl()).map_err(|e| format!("{}: {e}", path.display()))
     };
     let io_result: Result<(), String> = std::thread::scope(|scope| {
+        let server = &server;
+        // Both helpers end once the server drains, which every path
+        // below brings about before the scope joins them.
+        scope.spawn(|| server.drain_on_signal());
         if flags.metrics_jsonl.is_some() {
             let interval =
                 std::time::Duration::from_millis(flags.interval_ms.unwrap_or(1000).max(10));
-            let server = &server;
-            scope.spawn(move || {
-                while !SHUTDOWN.load(Ordering::SeqCst) {
-                    if let Err(e) = write_metrics(server) {
-                        eprintln!("warning: {e}");
-                        return;
-                    }
-                    std::thread::sleep(interval);
+            scope.spawn(move || loop {
+                if let Err(e) = write_metrics(server) {
+                    eprintln!("warning: {e}");
+                    return;
+                }
+                if server.wait_for_drain(interval) {
+                    return;
                 }
             });
         }
-        let outcome = match &flags.http {
-            Some(addr) => {
-                let listener = std::net::TcpListener::bind(addr)
-                    .map_err(|e| format!("binding {addr}: {e}"))?;
+        let stdio = || {
+            llstar::serve::stdio::serve_lines(server, std::io::stdin().lock(), std::io::stdout())
+                .map(|_| ())
+                .map_err(|e| format!("stdio transport: {e}"))
+        };
+        let outcome = match listener {
+            Some((addr, listener)) => {
                 eprintln!(
                     "http on {addr}: POST /parse, GET /metrics, GET /healthz, POST /shutdown"
                 );
-                if flags.stdio {
-                    let accept = scope.spawn(|| llstar::serve::http::run_http(&server, listener));
-                    let pumped = llstar::serve::stdio::serve_lines(
-                        &server,
-                        std::io::stdin().lock(),
-                        std::io::stdout(),
-                    )
-                    .map_err(|e| format!("stdio transport: {e}"));
-                    SHUTDOWN.store(true, Ordering::SeqCst);
-                    let http = accept
-                        .join()
-                        .expect("http accept loop never panics")
-                        .map_err(|e| format!("http transport: {e}"));
-                    pumped.map(|_| ()).and(http)
-                } else {
-                    llstar::serve::http::run_http(&server, listener)
+                let http = |listener| {
+                    llstar::serve::http::run_http(server, listener)
                         .map_err(|e| format!("http transport: {e}"))
+                };
+                if flags.stdio {
+                    let accept = scope.spawn(move || http(listener));
+                    let pumped = stdio();
+                    // Stdin EOF stops the daemon; the drain wakes the
+                    // accept loop.
+                    server.begin_drain();
+                    let http = accept.join().expect("http accept loop never panics");
+                    pumped.and(http)
+                } else {
+                    http(listener)
                 }
             }
-            None => llstar::serve::stdio::serve_lines(
-                &server,
-                std::io::stdin().lock(),
-                std::io::stdout(),
-            )
-            .map(|_| ())
-            .map_err(|e| format!("stdio transport: {e}")),
+            None => stdio(),
         };
-        SHUTDOWN.store(true, Ordering::SeqCst);
+        server.begin_drain();
         outcome
     });
-    server.begin_drain();
     let stats = server.stats();
     write_metrics(&server)?;
     server.shutdown();

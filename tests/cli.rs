@@ -2,8 +2,12 @@
 //! experience): check, dfa, atn, generate, compile, and parse, including
 //! the compile-once/parse-with-precomputed-DFAs workflow.
 
+mod common;
+
+use std::io::{BufRead, BufReader, Read};
 use std::path::PathBuf;
-use std::process::Command;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
 
 const GRAMMAR: &str = r#"
 grammar CliDemo;
@@ -14,10 +18,10 @@ INT : [0-9]+ ;
 WS : [ \t\r\n]+ -> skip ;
 "#;
 
+/// This test's own directory: tests run in parallel, and each writes
+/// `demo.g` while its `llstar` children read it.
 fn workdir() -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("llstar_cli_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    dir
+    common::test_dir("llstar_cli")
 }
 
 fn llstar(args: &[&str]) -> (bool, String, String) {
@@ -569,4 +573,67 @@ fn generate_metrics_emits_counters() {
     let (ok, stdout, _) = llstar(&["generate", &g]);
     assert!(ok);
     assert!(!stdout.contains("pub struct Metrics"), "{stdout}");
+}
+
+/// Waits for a daemon to exit, failing the test (not hanging it) when
+/// it outlives `limit`.
+fn wait_with_limit(child: &mut std::process::Child, limit: Duration) -> std::process::ExitStatus {
+    let deadline = Instant::now() + limit;
+    loop {
+        if let Some(status) = child.try_wait().expect("wait") {
+            return status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("llstar serve still running after {limit:?}");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+}
+
+#[test]
+fn serve_http_with_stdio_exits_zero_on_stdin_eof() {
+    // No client ever connects: the drain that stdin EOF begins must
+    // itself wake the HTTP accept loop.
+    let g = grammar_path();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_llstar"))
+        .args(["serve", &g, "--http", "127.0.0.1:0", "--stdio"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("llstar runs");
+    let status = wait_with_limit(&mut child, Duration::from_secs(60));
+    assert!(status.success(), "{status}");
+    let mut stdout = String::new();
+    child.stdout.take().expect("piped").read_to_string(&mut stdout).expect("stdout");
+    assert!(stdout.starts_with(r#"{"type":"schema","stream":"serve""#), "{stdout}");
+}
+
+#[cfg(unix)]
+#[test]
+fn serve_http_drains_and_exits_zero_on_sigterm() {
+    let g = grammar_path();
+    let mut child = Command::new(env!("CARGO_BIN_EXE_llstar"))
+        .args(["serve", &g, "--http", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("llstar runs");
+    // The daemon announces its listener after installing the handler,
+    // so the signal cannot arrive before it.
+    let mut stderr = BufReader::new(child.stderr.take().expect("piped"));
+    let mut line = String::new();
+    while !line.starts_with("http on") {
+        line.clear();
+        assert!(stderr.read_line(&mut line).expect("stderr") > 0, "daemon exited early");
+    }
+    let kill = Command::new("kill").args(["-TERM", &child.id().to_string()]).status();
+    assert!(kill.expect("kill runs").success());
+    let status = wait_with_limit(&mut child, Duration::from_secs(60));
+    assert!(status.success(), "SIGTERM must drain to exit 0: {status}");
+    let mut rest = String::new();
+    stderr.read_to_string(&mut rest).expect("stderr");
+    assert!(rest.contains("serve done:"), "{rest}");
 }

@@ -1,6 +1,8 @@
 //! Compiles and runs generated parsers: the generated code must be
 //! accepted by `rustc` standalone and agree with the interpreter.
 
+mod common;
+
 use llstar::codegen::generate;
 use llstar::core::analyze;
 use llstar::grammar::{apply_peg_mode, parse_grammar};
@@ -36,8 +38,7 @@ fn build_generated(name: &str, grammar_src: &str, driver: &str) -> PathBuf {
     let a = analyze(&g);
     let code = generate(&g, &a).expect("generation succeeds");
 
-    let dir = std::env::temp_dir().join(format!("llstar_codegen_{name}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = common::test_dir(&format!("llstar_codegen_{name}"));
     let src_path = dir.join("parser_main.rs");
     let full = format!("{code}\n{driver}\n");
     std::fs::write(&src_path, full).expect("write generated source");
@@ -147,8 +148,7 @@ fn main() {
     }
 }
 "#;
-    let dir = std::env::temp_dir().join(format!("llstar_codegen_java_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = common::test_dir("llstar_codegen_java");
     let src_path = dir.join("java_parser.rs");
     std::fs::write(&src_path, format!("{code}\n{driver}\n")).expect("write");
     let exe = dir.join("java_parser");

@@ -62,12 +62,22 @@ pub fn load_grammar_source(source: &str) -> (Grammar, GrammarAnalysis) {
     (grammar, analysis)
 }
 
+/// A scratch directory under the system temp dir, keyed by `prefix`,
+/// the running test's name and the process id, so no two tests — in
+/// one test binary or across binaries — ever share a path. (The test
+/// harness names each test's thread after the test.)
+pub fn test_dir(prefix: &str) -> PathBuf {
+    let test = std::thread::current().name().unwrap_or("main").replace("::", "-");
+    let dir = std::env::temp_dir().join(format!("{prefix}_{test}_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    dir
+}
+
 /// Compiles a generated parser module plus a `fn main` driver into a
-/// standalone executable under a per-process temp dir, returning the
+/// standalone executable under a per-test temp dir, returning the
 /// executable path.
 pub fn compile_generated(tag: &str, code: &str, driver: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("llstar_gen_{tag}_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = test_dir(&format!("llstar_gen_{tag}"));
     let src_path = dir.join("parser_main.rs");
     std::fs::write(&src_path, format!("{code}\n{driver}\n")).expect("write generated source");
 

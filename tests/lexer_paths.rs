@@ -7,6 +7,8 @@
 //! generated-code lexer is held to the same streams via a compiled
 //! token-dumping driver.
 
+mod common;
+
 use llstar::core::analyze;
 use llstar::grammar::{apply_peg_mode, parse_grammar, Grammar};
 use llstar::lexer::{LexPath, Scanner, Token};
@@ -166,8 +168,7 @@ fn main() {
     }
 }
 "#;
-    let dir = std::env::temp_dir().join(format!("llstar_lexpaths_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = common::test_dir("llstar_lexpaths");
     let src = dir.join("lexer_main.rs");
     std::fs::write(&src, format!("{code}\n{driver}\n")).expect("write generated source");
     let exe = dir.join("lexer_main");

@@ -3,6 +3,8 @@
 //! parsers' prediction machinery (indirectly, via the same DFAs), and —
 //! for PEG-compatible grammars — by the packrat baseline.
 
+mod common;
+
 use llstar::core::{analyze, analyze_cached};
 use llstar::grammar::{apply_peg_mode, parse_grammar, rewrite_left_recursion, Grammar};
 use llstar::packrat::PackratParser;
@@ -160,8 +162,7 @@ fn cache_loaded_analysis_parses_identically() {
     // ParseStats — lookahead depths, backtrack counts, memo traffic and
     // all. The serialized DFAs are the *whole* analysis as far as the
     // runtime is concerned.
-    let dir = std::env::temp_dir().join(format!("llstar_prop_cache_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = common::test_dir("llstar_prop_cache");
     for (name, start, src) in MINI_GRAMMARS {
         let g = load(src);
         let fresh = analyze(&g);

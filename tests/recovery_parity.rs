@@ -8,7 +8,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 mod common;
-use common::{compile_generated, load_grammar_source};
+use common::{compile_generated, load_grammar_source, test_dir};
 
 const STMTS: &str = r#"
 grammar Stmts;
@@ -98,8 +98,7 @@ fn main() {
     }
 }
 "#;
-    let dir = std::env::temp_dir().join(format!("llstar_recovery_cap_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let dir = test_dir("llstar_recovery_cap");
     let src_path = dir.join("parser_main.rs");
     std::fs::write(&src_path, format!("{code}\n{driver}\n")).expect("write");
     let exe = dir.join("parser_main");
