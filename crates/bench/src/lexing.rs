@@ -1,5 +1,5 @@
 //! Lexing throughput bench: MB/s and tokens/s through the scanner's
-//! three execution paths over the gauntlet corpora, one row per
+//! execution paths over the gauntlet corpora, one row per
 //! `grammar × path` cell. Paths:
 //!
 //! - `scalar` — the reference char-at-a-time DFA walk over the
@@ -7,9 +7,7 @@
 //! - `table` — the lowered byte-class table walk
 //!   ([`ScannerTables`]: dense or row-displaced `next` array, ASCII
 //!   byte map, dead-class encoding);
-//! - `simd` — the table walk plus SIMD/SWAR run skipping through
-//!   dominant self-loop states (whitespace, identifier/string bodies);
-//! - `fused` — the `simd` path plus parser token-class stamping
+//! - `fused` — the `table` path plus parser token-class stamping
 //!   ([`Scanner::tokenize_classified`]), i.e. what the runtime front
 //!   end actually executes before prediction.
 //!
@@ -31,7 +29,7 @@ pub const LEXING_BENCH_SEED: u64 = 0x1e11_57a6;
 
 /// The bench's path labels, measurement order. The first entry is the
 /// baseline every speedup is relative to.
-pub const LEX_PATHS: [&str; 4] = ["scalar", "table", "simd", "fused"];
+pub const LEX_PATHS: [&str; 3] = ["scalar", "table", "fused"];
 
 /// One `grammar × path` throughput measurement.
 #[derive(Debug, Clone)]
@@ -70,7 +68,7 @@ fn pass(scanner: &Scanner, corpus: &[(String, String)], path: LexPath) -> Durati
     start.elapsed()
 }
 
-/// The fused pass: `simd` plus parser-class stamping.
+/// The fused pass: `table` plus parser-class stamping.
 fn pass_fused(scanner: &Scanner, corpus: &[(String, String)], class_map: &[u8]) -> Duration {
     let start = Instant::now();
     for (name, text) in corpus {
@@ -90,7 +88,7 @@ fn throughput(bytes: usize, tokens: usize, best: Duration) -> (f64, u64) {
     (bytes as f64 / secs / 1e6, (tokens as f64 / secs) as u64)
 }
 
-/// Measures all four paths for one gauntlet grammar: generates the
+/// Measures every path for one gauntlet grammar: generates the
 /// tier's corpus, cross-checks that every path produces the scalar
 /// token stream, then times `reps` passes per path and keeps the best.
 ///
@@ -119,10 +117,8 @@ pub fn lexing_run(entry: &GauntletEntry, tier: Tier, seed: u64, reps: usize) -> 
             .tokenize_path(text, LexPath::Scalar)
             .unwrap_or_else(|e| panic!("lexing bench corpus {name} failed to lex: {e}"));
         tokens += scalar.len().saturating_sub(1);
-        for path in [LexPath::Table, LexPath::Simd] {
-            let got = scanner.tokenize_path(text, path).unwrap();
-            assert_eq!(got, scalar, "{name}: {} path diverged from scalar", path.label());
-        }
+        let table = scanner.tokenize_path(text, LexPath::Table).unwrap();
+        assert_eq!(table, scalar, "{name}: table path diverged from scalar");
         assert_eq!(
             scanner.tokenize_classified(text, &class_map).unwrap(),
             scalar,
@@ -136,7 +132,6 @@ pub fn lexing_run(entry: &GauntletEntry, tier: Tier, seed: u64, reps: usize) -> 
         let timed = |corpus: &[(String, String)]| match label {
             "scalar" => pass(&scanner, corpus, LexPath::Scalar),
             "table" => pass(&scanner, corpus, LexPath::Table),
-            "simd" => pass(&scanner, corpus, LexPath::Simd),
             _ => pass_fused(&scanner, corpus, &class_map),
         };
         let reps = reps.max(1);
@@ -177,7 +172,7 @@ pub fn lexing_all(tier: Tier, seed: u64, reps: usize) -> Vec<LexingRow> {
 /// Formats the throughput table, grouped by grammar.
 pub fn format_lexing(rows: &[LexingRow]) -> String {
     let mut out = String::from(
-        "Lexing throughput (same corpus; scalar DFA walk vs lowered tables vs SIMD runs)\n\
+        "Lexing throughput (same corpus; scalar DFA walk vs lowered tables)\n\
          Grammar    Path     Tier     Bytes    Tokens      Time      MB/s     Tokens/s  Speedup\n",
     );
     for r in rows {

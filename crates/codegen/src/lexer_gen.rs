@@ -4,11 +4,10 @@
 //! When the scanner DFA lowered (see [`llstar_lexer::ScannerTables`]), the
 //! generated tokenizer mirrors the interpreter's fast path: a 128-entry
 //! byte-class map (binary search for non-ASCII codepoints), a dense or
-//! row-displaced `next[state * classes + class]` table, and a portable
-//! SWAR run loop that crosses self-looping states (whitespace, identifier
-//! and string/comment bodies) eight bytes at a time. When lowering was
-//! refused, the legacy char-class tables are emitted instead — with
-//! binary-searched class and transition lookups, never a linear scan.
+//! row-displaced `next[state * classes + class]` table, and a per-state
+//! accept table. When lowering was refused, the legacy char-class tables
+//! are emitted instead — with binary-searched class and transition
+//! lookups, never a linear scan.
 //!
 //! Either way, tokens are stamped with their fused parser token-class
 //! (`LEX_PCLASS`, derived from the prediction tables' class map at
@@ -56,7 +55,7 @@ pub fn emit_lexer(
 }
 
 /// The lowered byte-table matcher: `LEX_BCLASS`/`LEX_WIDE` byte classes,
-/// dense or displaced `next`, per-state accept and SWAR run ranges.
+/// dense or displaced `next`, and per-state accept.
 fn emit_lowered_matcher(w: &mut CodeWriter, tables: &ScannerTables) {
     let nc = tables.num_classes();
     w.line(&format!("const LEX_NC: usize = {nc}; // classes incl. the dead class"));
@@ -88,40 +87,6 @@ fn emit_lowered_matcher(w: &mut CodeWriter, tables: &ScannerTables) {
     }
     let accepts = fmt16(tables.accept_table());
     w.line(&format!("static LEX_ACCEPT: &[u16] = &[{accepts}];"));
-    let runs: Vec<String> = (0..tables.num_states())
-        .map(|s| {
-            let ranges = tables.run_ranges(s);
-            if ranges.is_empty() {
-                "&[]".to_string()
-            } else {
-                let rs: Vec<String> =
-                    ranges.iter().map(|&(lo, hi)| format!("({lo}, {hi})")).collect();
-                format!("&[{}]", rs.join(", "))
-            }
-        })
-        .collect();
-    w.line("// ASCII self-loop byte ranges per state, for the SWAR run loop.");
-    w.line(&format!("static LEX_RUNS: &[&[(u8, u8)]] = &[{}];", runs.join(", ")));
-    let bits: Vec<String> = (0..tables.num_states())
-        .map(|s| {
-            let mut bits = [0u64; 2];
-            for &(lo, hi) in tables.run_ranges(s) {
-                for b in lo..=hi {
-                    bits[(b >> 6) as usize] |= 1u64 << (b & 63);
-                }
-            }
-            format!("({:#x}, {:#x})", bits[0], bits[1])
-        })
-        .collect();
-    w.line("// The same sets as 128-bit ASCII membership bitmaps: per-byte");
-    w.line("// probes cost ~3 ops, no dearer than the table step itself.");
-    w.line(&format!("static LEX_RUN_BITS: &[(u64, u64)] = &[{}];", bits.join(", ")));
-    w.blank();
-    w.line("/// Whether ASCII byte `b` is in state `s`'s self-loop run set.");
-    w.open("fn lex_in_run(s: usize, b: u8) -> bool {");
-    w.line("let (lo, hi) = LEX_RUN_BITS[s];");
-    w.line("b < 0x80 && (if b < 64 { lo >> b } else { hi >> (b & 63) }) & 1 != 0");
-    w.close("}");
     w.blank();
 
     w.line("/// Non-ASCII codepoint → scanner class (dead class when unmapped).");
@@ -134,36 +99,6 @@ fn emit_lowered_matcher(w: &mut CodeWriter, tables: &ScannerTables) {
     w.line("Ok(i) => LEX_WIDE[i].2 as usize,");
     w.line("Err(_) => LEX_NC - 1,");
     w.close("}");
-    w.close("}");
-    w.blank();
-
-    w.line("/// SWAR (8 bytes per word) run scan: length of the longest prefix");
-    w.line("/// of `bytes` whose every byte is ASCII and inside `ranges`. The");
-    w.line("/// ≥ test is borrow-free ((x|0x80…)-lo·0x01… keeps lanes apart");
-    w.line("/// because every lane is ≥ 0x80 and lo ≤ 0x7F); non-ASCII lanes");
-    w.line("/// are masked off and always end the run.");
-    w.open("fn lex_run_len(bytes: &[u8], ranges: &[(u8, u8)]) -> usize {");
-    w.line("const REP01: u64 = 0x0101_0101_0101_0101;");
-    w.line("const REP80: u64 = 0x8080_8080_8080_8080;");
-    w.line("let mut i = 0usize;");
-    w.open("while i + 8 <= bytes.len() {");
-    w.line("let x = u64::from_le_bytes(bytes[i..i + 8].try_into().expect(\"8-byte chunk\"));");
-    w.line("let mut in_set = 0u64;");
-    w.open("for &(lo, hi) in ranges {");
-    w.line("let ge_lo = (x | REP80).wrapping_sub(REP01 * lo as u64) & REP80;");
-    w.line("let ge_hi1 = (x | REP80).wrapping_sub(REP01 * (hi as u64 + 1)) & REP80;");
-    w.line("in_set |= ge_lo & !ge_hi1;");
-    w.close("}");
-    w.line("let miss = !(in_set & !x) & REP80;");
-    w.line("if miss != 0 { return i + miss.trailing_zeros() as usize / 8; }");
-    w.line("i += 8;");
-    w.close("}");
-    w.open("while i < bytes.len() {");
-    w.line("let b = bytes[i];");
-    w.line("if b >= 0x80 || !ranges.iter().any(|&(lo, hi)| lo <= b && b <= hi) { break; }");
-    w.line("i += 1;");
-    w.close("}");
-    w.line("i");
     w.close("}");
     w.blank();
 
@@ -185,25 +120,9 @@ fn emit_lowered_matcher(w: &mut CodeWriter, tables: &ScannerTables) {
     w.close("};");
     w.line("let t = lex_next(state, class);");
     w.line("if t == u16::MAX { break; }");
-    w.line("let looped = t as usize == state;");
     w.line("state = t as usize;");
     w.line("i += step;");
     w.line("if LEX_ACCEPT[state] != u16::MAX { best = Some((i - start, LEX_ACCEPT[state] as usize)); }");
-    w.line("// Run skipping engages only after the table step just");
-    w.line("// self-looped (a free register compare), so states that never");
-    w.line("// loop pay nothing for it.");
-    w.open("if looped && i < bytes.len() && lex_in_run(state, bytes[i]) {");
-    w.line("// Walk the run by bitmap first; the word-at-a-time scan only");
-    w.line("// engages once eight consecutive bytes prove the run long");
-    w.line("// enough to amortize its setup.");
-    w.line("let stop = (i + 8).min(bytes.len());");
-    w.line("let mut j = i + 1;");
-    w.line("while j < stop && lex_in_run(state, bytes[j]) { j += 1; }");
-    w.line("if j == i + 8 && j < bytes.len() { j += lex_run_len(&bytes[j..], LEX_RUNS[state]); }");
-    w.line("i = j;");
-    w.line("// Every byte of the run re-enters `state`.");
-    w.line("if LEX_ACCEPT[state] != u16::MAX { best = Some((i - start, LEX_ACCEPT[state] as usize)); }");
-    w.close("}");
     w.close("}");
     w.line("best");
     w.close("}");
@@ -333,8 +252,7 @@ mod tests {
         emit_lexer(&mut w, &g, &a).unwrap();
         let src = w.finish();
         assert!(src.contains("static LEX_BCLASS"), "{src}");
-        assert!(src.contains("static LEX_RUNS"), "{src}");
-        assert!(src.contains("fn lex_run_len"), "{src}");
+        assert!(src.contains("static LEX_NEXT"), "{src}");
         assert!(src.contains("pub fn tokenize"), "{src}");
         assert!(src.contains("LEX_SKIP: &[bool] = &[false, true]"), "{src}");
         assert!(src.contains("static LEX_PCLASS"), "{src}");

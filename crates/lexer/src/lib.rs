@@ -24,6 +24,7 @@
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod charclass;
@@ -31,7 +32,6 @@ pub mod dfa;
 pub mod nfa;
 pub mod regex;
 pub mod scanner;
-pub mod simd;
 pub mod tables;
 pub mod token;
 

@@ -12,16 +12,15 @@ use std::fmt;
 
 /// Which matching machinery [`Scanner::tokenize_path`] drives.
 ///
-/// All paths produce byte-identical token streams; they differ only in
-/// speed. [`Scanner::tokenize`] picks the fastest available.
+/// Both paths produce byte-identical token streams. [`Scanner::tokenize`]
+/// uses `Table`; `Scalar` is kept as the reference the differential tests
+/// compare it against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LexPath {
     /// Char-at-a-time [`ScannerDfa`] simulation (always available).
     Scalar,
     /// Byte-class + dense/displaced table walk ([`ScannerTables`]).
     Table,
-    /// Table walk plus SWAR/SIMD runs through self-looping states.
-    Simd,
 }
 
 impl LexPath {
@@ -30,12 +29,11 @@ impl LexPath {
         match self {
             LexPath::Scalar => "scalar",
             LexPath::Table => "table",
-            LexPath::Simd => "simd",
         }
     }
 
     /// All paths, scalar first.
-    pub const ALL: [LexPath; 3] = [LexPath::Scalar, LexPath::Table, LexPath::Simd];
+    pub const ALL: [LexPath; 2] = [LexPath::Scalar, LexPath::Table];
 }
 
 /// One lexer rule in a [`LexerSpec`].
@@ -193,13 +191,13 @@ pub struct Scanner {
 
 impl Scanner {
     /// Tokenizes `input` by repeated maximal-munch matching, appending a
-    /// final EOF token. `skip` rules produce no tokens. Uses the fastest
-    /// available path (SIMD over lowered tables when the DFA lowered).
+    /// final EOF token. `skip` rules produce no tokens. Walks the lowered
+    /// tables when the DFA lowered, else the scanner DFA.
     ///
     /// # Errors
     /// Returns a [`LexError`] at the first position where no rule matches.
     pub fn tokenize(&self, input: &str) -> Result<Vec<Token>, LexError> {
-        self.tokenize_path(input, LexPath::Simd)
+        self.tokenize_path(input, LexPath::Table)
     }
 
     /// Tokenizes `input`, stamping each token (EOF included) with its
@@ -222,8 +220,8 @@ impl Scanner {
         Ok(tokens)
     }
 
-    /// Tokenizes `input` over an explicit [`LexPath`]. `Table`/`Simd` fall
-    /// back to `Scalar` when the DFA did not lower. All paths are
+    /// Tokenizes `input` over an explicit [`LexPath`]. `Table` falls back
+    /// to `Scalar` when the DFA did not lower. Both paths are
     /// byte-identical (pinned by the cross-path differential suite).
     ///
     /// # Errors
@@ -231,7 +229,7 @@ impl Scanner {
     pub fn tokenize_path(&self, input: &str, path: LexPath) -> Result<Vec<Token>, LexError> {
         let tables = match (path, &self.tables) {
             (LexPath::Scalar, _) | (_, None) => None,
-            (_, Some(t)) => Some((t, path == LexPath::Simd)),
+            (LexPath::Table, Some(t)) => Some(t),
         };
         let mut tokens = Vec::new();
         let mut offset = 0usize;
@@ -240,7 +238,7 @@ impl Scanner {
         while offset < input.len() {
             let rest = &input[offset..];
             let matched = match tables {
-                Some((t, simd)) => t.longest_match(rest, simd),
+                Some(t) => t.longest_match(rest),
                 None => self.dfa.longest_match(rest),
             };
             match matched {
@@ -434,15 +432,11 @@ mod tests {
         let sc = simple_scanner();
         for src in ["if x = 42", "a\n  b\n\nc9", "", "if iffy\tifx", "x = 1 y = 22\n"] {
             let scalar = sc.tokenize_path(src, LexPath::Scalar).unwrap();
-            for path in [LexPath::Table, LexPath::Simd] {
-                assert_eq!(sc.tokenize_path(src, path).unwrap(), scalar, "{path:?} on {src:?}");
-            }
+            assert_eq!(sc.tokenize_path(src, LexPath::Table).unwrap(), scalar, "table on {src:?}");
             assert_eq!(sc.tokenize(src).unwrap(), scalar);
         }
         let err = sc.tokenize_path("ok $bad", LexPath::Scalar).unwrap_err();
-        for path in [LexPath::Table, LexPath::Simd] {
-            assert_eq!(sc.tokenize_path("ok $bad", path).unwrap_err(), err, "{path:?}");
-        }
+        assert_eq!(sc.tokenize_path("ok $bad", LexPath::Table).unwrap_err(), err);
     }
 
     #[test]

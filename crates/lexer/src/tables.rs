@@ -17,11 +17,6 @@
 //!    quarter-saving threshold, same densest-first first-fit placement);
 //!    the constants are duplicated here because `core` depends on this
 //!    crate, not the other way around — keep the two in sync.
-//! 3. **Run ranges.** For each state, the ASCII bytes that self-loop back
-//!    to it, compressed to at most [`MAX_RUN_RANGES`](crate::simd::MAX_RUN_RANGES)
-//!    inclusive ranges. Whitespace skipping, identifier bodies and
-//!    string/comment interiors all become single-state runs the tokenizer
-//!    can cross word-at-a-time with [`crate::simd::run_len`].
 //!
 //! Lowering is refused (returns `None`) when the automaton outgrows the
 //! fixed-width encodings: more than [`MAX_CLASSES`] character classes
@@ -30,7 +25,6 @@
 //! always byte-identical.
 
 use crate::dfa::ScannerDfa;
-use crate::simd;
 
 /// "No transition" sentinel in the next/check tables.
 pub const NO_STATE: u16 = u16::MAX;
@@ -61,7 +55,7 @@ pub enum ScanNext {
     },
 }
 
-/// A [`ScannerDfa`] lowered to byte-indexed tables plus SWAR run metadata.
+/// A [`ScannerDfa`] lowered to byte-indexed tables.
 #[derive(Debug, Clone)]
 pub struct ScannerTables {
     num_states: usize,
@@ -75,34 +69,6 @@ pub struct ScannerTables {
     table: ScanNext,
     /// Accepted rule per state ([`NO_RULE`] = none).
     accept: Vec<u16>,
-    /// Per-state ASCII self-loop byte ranges for the SWAR skip loop.
-    runs: Vec<RunSet>,
-}
-
-/// A state's self-loop byte ranges, stored inline so the tokenizer's hot
-/// loop reads them with one indexed load (no per-state heap indirection).
-/// `len == 0` means the state has no usable run. `bits` is the same set
-/// as a 128-bit ASCII membership bitmap: per-byte membership in ~3 ops,
-/// no cheaper than the table step but no dearer either, so probing a run
-/// that turns out short costs nothing over the plain table walk.
-#[derive(Debug, Clone, Copy, Default)]
-struct RunSet {
-    len: u8,
-    ranges: [(u8, u8); simd::MAX_RUN_RANGES],
-    bits: [u64; 2],
-}
-
-impl RunSet {
-    #[inline]
-    fn ranges(&self) -> &[(u8, u8)] {
-        &self.ranges[..self.len as usize]
-    }
-
-    /// Whether ASCII byte `b` is in the run set (false for `b >= 0x80`).
-    #[inline]
-    fn contains(&self, b: u8) -> bool {
-        b < 0x80 && (self.bits[(b >> 6) as usize] >> (b & 63)) & 1 != 0
-    }
 }
 
 impl ScannerTables {
@@ -137,17 +103,7 @@ impl ScannerTables {
         let accept: Vec<u16> =
             dfa.states.iter().map(|s| s.accept.map_or(NO_RULE, |r| r as u16)).collect();
 
-        let mut tables = ScannerTables {
-            num_states: n,
-            num_classes: nc,
-            ascii_class,
-            wide,
-            table,
-            accept,
-            runs: Vec::new(),
-        };
-        tables.runs = (0..n).map(|s| tables.self_loop_ranges(s)).collect();
-        Some(tables)
+        Some(ScannerTables { num_states: n, num_classes: nc, ascii_class, wide, table, accept })
     }
 
     /// Dense within budget, else row displacement when it saves ≥ ¼ of the
@@ -228,34 +184,6 @@ impl ScannerTables {
         ScanNext::RowDisplaced { base, check, next }
     }
 
-    /// ASCII bytes whose class self-loops on `state`, as ≤ `MAX_RUN_RANGES`
-    /// inclusive ranges (empty when the state has none or is too
-    /// fragmented to pay off).
-    fn self_loop_ranges(&self, state: usize) -> RunSet {
-        let mut ranges: Vec<(u8, u8)> = Vec::new();
-        for b in 0u8..128 {
-            let class = self.ascii_class[b as usize] as usize;
-            if self.next(state, class) == state as u16 {
-                match ranges.last_mut() {
-                    Some(last) if last.1 + 1 == b => last.1 = b,
-                    _ => ranges.push((b, b)),
-                }
-            }
-        }
-        let mut set = RunSet::default();
-        if ranges.is_empty() || ranges.len() > simd::MAX_RUN_RANGES {
-            return set;
-        }
-        set.len = ranges.len() as u8;
-        set.ranges[..ranges.len()].copy_from_slice(&ranges);
-        for &(lo, hi) in &ranges {
-            for b in lo..=hi {
-                set.bits[(b >> 6) as usize] |= 1u64 << (b & 63);
-            }
-        }
-        set
-    }
-
     /// The transition target from `state` on `class`, or [`NO_STATE`].
     #[inline]
     pub fn next(&self, state: usize, class: usize) -> u16 {
@@ -296,10 +224,9 @@ impl ScannerTables {
         }
     }
 
-    /// Longest-match simulation over the lowered tables; with `simd`, runs
-    /// through self-looping states advance word-at-a-time. Byte-identical
+    /// Longest-match simulation over the lowered tables. Byte-identical
     /// to [`ScannerDfa::longest_match`] by construction.
-    pub fn longest_match(&self, input: &str, use_simd: bool) -> Option<(usize, usize)> {
+    pub fn longest_match(&self, input: &str) -> Option<(usize, usize)> {
         let bytes = input.as_bytes();
         let mut state = 0usize;
         let mut best: Option<(usize, usize)> = None;
@@ -316,37 +243,10 @@ impl ScannerTables {
             if next == NO_STATE {
                 break;
             }
-            let looped = next as usize == state;
             state = next as usize;
             i += step;
             if self.accept[state] != NO_RULE {
                 best = Some((i, self.accept[state] as usize));
-            }
-            // Run skipping engages only after the table step just
-            // self-looped — a free register compare — so states that
-            // never loop (e.g. keyword-trie prefixes) pay nothing for it.
-            if use_simd && looped && i < bytes.len() {
-                let rs = &self.runs[state];
-                if rs.len != 0 && rs.contains(bytes[i]) {
-                    // Walk the run by bitmap first (~3 ops per byte, no
-                    // dearer than the table step); the word-at-a-time
-                    // scan only engages once eight consecutive bytes
-                    // prove the run long enough to amortize its setup.
-                    let stop = (i + 8).min(bytes.len());
-                    let mut j = i + 1;
-                    while j < stop && rs.contains(bytes[j]) {
-                        j += 1;
-                    }
-                    if j == i + 8 && j < bytes.len() {
-                        j += simd::run_len(&bytes[j..], rs.ranges());
-                    }
-                    i = j;
-                    // Every byte of the run re-enters `state`, so the
-                    // last position is the freshest accept candidate.
-                    if self.accept[state] != NO_RULE {
-                        best = Some((i, self.accept[state] as usize));
-                    }
-                }
             }
         }
         best
@@ -382,11 +282,6 @@ impl ScannerTables {
         &self.accept
     }
 
-    /// The SWAR self-loop ranges of `state` (empty = no run skipping).
-    pub fn run_ranges(&self, state: usize) -> &[(u8, u8)] {
-        self.runs[state].ranges()
-    }
-
     /// Total table cells, for size accounting and the dense/displaced tests.
     pub fn table_cells(&self) -> usize {
         match &self.table {
@@ -412,9 +307,11 @@ mod tests {
     }
 
     fn assert_equivalent(dfa: &ScannerDfa, tables: &ScannerTables, input: &str) {
-        let reference = dfa.longest_match(input);
-        assert_eq!(tables.longest_match(input, false), reference, "table path on {input:?}");
-        assert_eq!(tables.longest_match(input, true), reference, "simd path on {input:?}");
+        assert_eq!(
+            tables.longest_match(input),
+            dfa.longest_match(input),
+            "table path on {input:?}"
+        );
     }
 
     #[test]
@@ -426,20 +323,6 @@ mod tests {
         {
             assert_equivalent(&dfa, &tables, input);
         }
-    }
-
-    #[test]
-    fn identifier_state_gets_run_ranges() {
-        let dfa = dfa_of(&["[a-zA-Z_] [a-zA-Z0-9_]*"]);
-        let tables = ScannerTables::lower(&dfa).unwrap();
-        // Find the self-looping body state: two steps from the start (the
-        // after-first-char state is distinct from the loop state).
-        let s = tables.next(0, tables.ascii_class_of(b'x')) as usize;
-        let s = tables.next(s, tables.ascii_class_of(b'y')) as usize;
-        assert_eq!(tables.next(s, tables.ascii_class_of(b'z')) as usize, s, "body self-loops");
-        let ranges = tables.run_ranges(s);
-        assert!(!ranges.is_empty(), "identifier body self-loops");
-        assert_eq!(ranges, &[(b'0', b'9'), (b'A', b'Z'), (b'_', b'_'), (b'a', b'z')]);
     }
 
     #[test]

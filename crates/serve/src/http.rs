@@ -24,7 +24,7 @@
 //! derived from `max_input_bytes` is answered 413 before any body byte
 //! is read.
 
-use crate::{ServeOptions, Server};
+use crate::{max_body_bytes, ServeOptions, Server};
 use llstar_core::schema::{ServeRequest, ServeResponse, StreamKind};
 use llstar_runtime::{derive_span_id, format_traceparent, parse_traceparent};
 use std::io::{BufRead, BufReader, Read, Write};
@@ -107,16 +107,6 @@ fn wake_addr(mut bound: SocketAddr) -> SocketAddr {
 /// hold (working or queued). Beyond that a connection would only wait.
 fn max_handlers(opts: &ServeOptions) -> usize {
     opts.workers.max(1).saturating_add(opts.queue_capacity)
-}
-
-/// Largest `Content-Length` accepted: one input at `max_input_bytes` in
-/// its worst JSON escape (`\u00XX`, six bytes per input byte), plus
-/// 64 KiB for request envelopes and the rest of the batch.
-pub fn max_body_bytes(opts: &ServeOptions) -> u64 {
-    u64::try_from(opts.max_input_bytes)
-        .unwrap_or(u64::MAX)
-        .saturating_mul(6)
-        .saturating_add(64 << 10)
 }
 
 /// A request head, or why there is none.

@@ -152,6 +152,17 @@ impl Default for ServeOptions {
     }
 }
 
+/// Largest request either transport reads, as an HTTP `Content-Length`
+/// or one stdio line: one input at `max_input_bytes` in its worst JSON
+/// escape (`\u00XX`, six bytes per input byte), plus 64 KiB for request
+/// envelopes and the rest of an HTTP batch.
+pub fn max_body_bytes(opts: &ServeOptions) -> u64 {
+    u64::try_from(opts.max_input_bytes)
+        .unwrap_or(u64::MAX)
+        .saturating_mul(6)
+        .saturating_add(64 << 10)
+}
+
 /// One loaded grammar: the immutable analysis shared by every worker.
 pub struct GrammarEntry {
     /// The route key: the `grammar Name;` declaration.

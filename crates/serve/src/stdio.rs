@@ -9,19 +9,24 @@
 //! unbounded buffering. EOF (or a drain begun by
 //! [`crate::Server::begin_drain`]) drains in-flight requests before
 //! returning.
+//!
+//! A line is read into memory only up to [`max_body_bytes`], the bound
+//! the HTTP transport puts on a body. A longer line is answered
+//! `oversized` and the rest of it is skipped without being buffered.
 
-use crate::Server;
+use crate::{max_body_bytes, Server};
 use llstar_core::schema::{ServeErrorKind, ServeRequest, ServeResponse, StreamKind};
 use llstar_core::Json;
 use std::collections::BTreeMap;
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 use std::sync::mpsc;
 
 /// Pumps `input` lines through `server` and writes ordered responses to
 /// `out`. Returns the number of response lines written (excluding the
 /// header). Malformed lines are answered in place with a `bad-request`
-/// error rather than killing the stream; a leading `serve` header line
-/// from the client is validated and skipped.
+/// error, and lines over [`max_body_bytes`] with `oversized`, rather
+/// than killing the stream; a leading `serve` header line from the
+/// client is validated and skipped.
 pub fn serve_lines<R: BufRead, W: Write + Send>(
     server: &Server,
     mut input: R,
@@ -45,6 +50,7 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
             }
             Ok(written)
         });
+        let bound = max_body_bytes(server.options());
         let mut line = Vec::new();
         let mut tag = 0u64;
         loop {
@@ -52,10 +58,19 @@ pub fn serve_lines<R: BufRead, W: Write + Send>(
                 break;
             }
             line.clear();
-            if input.read_until(b'\n', &mut line)? == 0 {
+            if input.by_ref().take(bound.saturating_add(1)).read_until(b'\n', &mut line)? == 0 {
                 break; // EOF: drain and exit
             }
-            let parsed = match std::str::from_utf8(&line) {
+            let text = line.strip_suffix(b"\n").unwrap_or(&line);
+            if text.len() as u64 > bound {
+                input.skip_until(b'\n')?; // the rest of the line, unbuffered
+                let message = format!("request line exceeds {bound} bytes");
+                let _ =
+                    tx.send((tag, ServeResponse::error(0, "", ServeErrorKind::Oversized, message)));
+                tag += 1;
+                continue;
+            }
+            let parsed = match std::str::from_utf8(text) {
                 Ok(text) if text.trim().is_empty() => continue,
                 Ok(text) => parse_request_line(text.trim()),
                 Err(_) => Err("request line is not utf-8".to_string()),
@@ -96,7 +111,8 @@ pub(crate) fn parse_request_line(line: &str) -> Result<Option<ServeRequest>, Str
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests_support::demo_server;
+    use crate::tests_support::{demo_entries, demo_server};
+    use crate::ServeOptions;
     use llstar_core::schema::SERVE_STREAM_VERSION;
     use std::io::Cursor;
 
@@ -124,6 +140,28 @@ mod tests {
             lines[2]
         );
         assert!(lines[3].contains("\"id\":8") && lines[3].contains("\"status\":\"ok\""));
+        server.shutdown();
+    }
+
+    #[test]
+    fn over_long_line_is_oversized_and_the_stream_goes_on() {
+        let opts = ServeOptions { max_input_bytes: 64, ..ServeOptions::default() };
+        let server = Server::start(demo_entries(), opts).expect("start");
+        let bound = max_body_bytes(server.options()) as usize;
+        let input = format!(
+            "{at_bound}\n{over}\n\
+             {{\"type\":\"request\",\"id\":9,\"grammar\":\"Demo\",\"mode\":\"tree\",\"input\":\"c = 3;\"}}\n",
+            at_bound = "x".repeat(bound),
+            over = "x".repeat(bound + 1),
+        );
+        let mut out: Vec<u8> = Vec::new();
+        let written = serve_lines(&server, Cursor::new(input), &mut out).expect("io");
+        assert_eq!(written, 3);
+        let text = String::from_utf8(out).expect("utf8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert!(lines[1].contains("\"error\":\"bad-request\""), "{}", lines[1]);
+        assert!(lines[2].contains("\"error\":\"oversized\""), "{}", lines[2]);
+        assert!(lines[3].contains("\"id\":9") && lines[3].contains("\"status\":\"ok\""));
         server.shutdown();
     }
 }

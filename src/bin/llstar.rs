@@ -390,7 +390,7 @@ fn main() -> ExitCode {
                  --metrics      emit metric counters in the generated parser\n\
                  \n\
                  lex flags:\n\
-                 --bench        time every lexer path (scalar/table/simd), report MB/s\n\
+                 --bench        time every lexer path (scalar/table/fused), report MB/s\n\
                  --top N        histogram rows (default: all token types seen)\n\
                  \n\
                  metrics flags (corpus = a directory of .txt inputs or one file):\n\
@@ -729,11 +729,11 @@ fn check_input(
 }
 
 /// `llstar lex <grammar.g> <file>`: tokenize-only mode. Prints scanner
-/// lowering facts (classes, table shape, SWAR-eligible run states), the
-/// token-type histogram over the input, and — with `--bench` — a
-/// per-path throughput table (scalar char-loop, lowered byte table,
-/// table + SIMD/SWAR run skipping), cross-checking that every path
-/// produced the identical token stream.
+/// lowering facts (classes, table shape), the token-type histogram over
+/// the input, and — with `--bench` — a per-path throughput table
+/// (scalar char-loop, lowered byte table, table + parser-class
+/// stamping), cross-checking that every path produced the identical
+/// token stream.
 fn lex_cmd(
     grammar: &Grammar,
     analysis: &GrammarAnalysis,
@@ -750,10 +750,8 @@ fn lex_cmd(
                 llstar::lexer::ScanNext::Dense(_) => "dense",
                 llstar::lexer::ScanNext::RowDisplaced { .. } => "row-displaced",
             };
-            let runs = (0..t.num_states()).filter(|&s| !t.run_ranges(s).is_empty()).count();
             println!(
-                "scanner: {} states, {} byte classes, {shape} table ({} cells), \
-                 {runs} SWAR-eligible run state(s)",
+                "scanner: {} states, {} byte classes, {shape} table ({} cells)",
                 t.num_states(),
                 t.num_classes(),
                 t.table_cells()

@@ -1,5 +1,5 @@
 //! Robustness fuzzing for the serve transports: seeded serve-v1 request
-//! lines through the stdio transport, and seeded raw HTTP framing —
+//! lines, some over the line bound, through the stdio transport, and seeded raw HTTP framing —
 //! truncated heads, bogus or huge `Content-Length`, non-UTF-8 bodies,
 //! early close — against a live accept loop. Every line must be
 //! answered in place; every connection must be answered or closed; and
@@ -8,9 +8,9 @@
 //! `POST /shutdown` ends it cleanly.
 
 use llstar::core::schema::StreamKind;
-use llstar::serve::http::{max_body_bytes, run_http, MAX_HEADERS, MAX_LINE_BYTES};
+use llstar::serve::http::{run_http, MAX_HEADERS, MAX_LINE_BYTES};
 use llstar::serve::stdio::serve_lines;
-use llstar::serve::{load_grammars, GrammarEntry, ServeOptions, Server};
+use llstar::serve::{load_grammars, max_body_bytes, GrammarEntry, ServeOptions, Server};
 use llstar_rng::Rng64;
 use std::io::{Cursor, ErrorKind, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
@@ -68,7 +68,13 @@ fn stdio_answers_every_fuzzed_line_in_place() {
     let mut rng = Rng64::seed_from_u64(0x7a_0001);
     let mut input: Vec<u8> = format!("{}\n", StreamKind::Serve.header_line()).into_bytes();
     let mut expected = 0;
-    for _ in 0..300 {
+    for i in 0..300 {
+        if i == 150 {
+            // One line over the bound, answered `oversized` mid-stream.
+            input.resize(input.len() + max_body_bytes(server.options()) as usize + 1, b'[');
+            input.push(b'\n');
+            expected += 1;
+        }
         let mut line = request_line(&mut rng).replace(['\n', '\r'], " ").into_bytes();
         if rng.gen_bool(0.05) {
             line.extend_from_slice(&[0xff, 0xfe, b'x']); // not UTF-8
@@ -86,6 +92,7 @@ fn stdio_answers_every_fuzzed_line_in_place() {
     for line in text.lines().skip(1) {
         llstar::core::Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
     }
+    assert!(text.contains("\"error\":\"oversized\",\"message\":\"request line"), "{text}");
     server.shutdown();
 }
 
