@@ -135,7 +135,7 @@ pub fn run_grammar(entry: SuiteEntry, input_lines: usize, seed: u64) -> GrammarR
         .parse_to_eof(entry.start_rule)
         .unwrap_or_else(|e| panic!("{}: generated input failed to parse: {e}", entry.name));
     let parse_time = t0.elapsed();
-    let stats = parser.stats().clone();
+    let stats = parser.stats();
     GrammarRun {
         entry,
         grammar,
@@ -421,7 +421,7 @@ pub fn recovery_run(entry: SuiteEntry, input_lines: usize, seed: u64) -> Recover
         input_tokens,
         corrupted_sites,
         diagnostics,
-        stats: parser.stats().clone(),
+        stats: parser.stats(),
         clean_strict,
         clean_recovery,
         corrupt_recovery,

@@ -62,7 +62,7 @@ pub use span::{
     derive_span_id, derive_trace_id, format_traceparent, parse_traceparent, SpanKind, SpanNode,
     SpanRecorder, SpanTree,
 };
-pub use stats::{DecisionStats, ParseStats};
+pub use stats::ParseStats;
 pub use stream::TokenStream;
 pub use trace::{
     parse_jsonl, JsonlSink, MemoKind, NopSink, RingSink, SamplingSink, TeeSink, TraceEvent,

@@ -134,8 +134,8 @@ impl<'g, H: Hooks> ParseSession<'g, H> {
         self.parser.set_timeout(timeout);
     }
 
-    /// Statistics from the most recent parse.
-    pub fn stats(&self) -> &ParseStats {
+    /// Statistics from the most recent parse (see [`Parser::stats`]).
+    pub fn stats(&self) -> ParseStats {
         self.parser.stats()
     }
 

@@ -930,7 +930,7 @@ fn profile(
         "avg-k",
         "max-k",
         "backs",
-        "max-spec"
+        "avg-spec"
     );
     for d in &analysis.atn.decisions {
         if !d.is_grammar_decision() {
@@ -941,20 +941,22 @@ fn profile(
         let time =
             if analysis.from_cache { "cached".to_string() } else { format!("{:?}", da.elapsed) };
         let fallback = m.fallback.map_or("-".to_string(), |r| r.to_string());
-        let (events, avg_k, max_k, backs, max_spec) = match &stats {
+        let (events, avg_k, max_k, backs, avg_spec) = match &stats {
             Some(s) => {
                 let ds = s.decision(d.id);
-                let avg = if ds.events > 0 {
-                    format!("{:.1}", ds.lookahead_sum as f64 / ds.events as f64)
-                } else {
-                    "-".to_string()
+                let ratio = |sum: u64, n: u64| {
+                    if n > 0 {
+                        format!("{:.1}", sum as f64 / n as f64)
+                    } else {
+                        "-".to_string()
+                    }
                 };
                 (
                     ds.events.to_string(),
-                    avg,
-                    ds.max_lookahead.to_string(),
-                    ds.backtrack_events.to_string(),
-                    ds.backtrack_depth_max.to_string(),
+                    ratio(ds.la_sum, ds.events),
+                    ds.la_max.to_string(),
+                    ds.backtracks.to_string(),
+                    ratio(ds.spec_sum, ds.backtracks),
                 )
             }
             None => ("-".into(), "-".into(), "-".into(), "-".into(), "-".into()),
@@ -974,7 +976,7 @@ fn profile(
             avg_k,
             max_k,
             backs,
-            max_spec
+            avg_spec
         );
     }
     let total = analysis.total_metrics();
