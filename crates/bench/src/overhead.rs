@@ -10,10 +10,10 @@
 //! - `trace-full` — counters plus the full JSONL trace stream to a null
 //!   writer (the price of `llstar trace`, for scale).
 //!
-//! The off/on pair is measured best-of-`reps` (the gate compares those
-//! two); the trace modes run once — they exist to bound the tiers, not
-//! to gate. Timing excludes lexing: token streams are materialized
-//! before the clock starts, exactly like the gauntlet bench.
+//! The off/on pair is the gated one; the trace modes run once — they
+//! exist to bound the tiers, not to gate. Timing excludes lexing: token
+//! streams are materialized before the clock starts, exactly like the
+//! gauntlet bench.
 //!
 //! The same file hosts the span-overhead matrix ([`spans_overhead_all`])
 //! measuring [`Parser::enable_span_recording`]: `spans-off` vs
@@ -21,15 +21,17 @@
 //! harvested, the cost every request pays when `--capture-dir` is set)
 //! plus `spans-harvest` (recording and a [`Parser::span_tree`] harvest
 //! per input, the worst case where every request is captured; run once,
-//! informational). Two deliberate differences from the metrics matrix:
-//! the timed region is the full per-request work a serve worker does —
-//! lex *and* parse — because the ≤ 5% budget governs request latency;
-//! and the gate statistic is the *median of per-rep paired ratios*
-//! (each rep times off then on back-to-back, sharing one noise window)
-//! rather than a best-of ratio, which on busy machines compares two
-//! unrelated noise floors. The gate itself enforces the
-//! corpus-aggregate overhead ([`spans_gate_overhead`]), not each
-//! grammar's row in isolation.
+//! informational). Its timed region is the full per-request work a
+//! serve worker does — lex *and* parse — because the ≤ 5% budget
+//! governs request latency, and its gate enforces the corpus-aggregate
+//! overhead ([`spans_gate_overhead`]), not each grammar's row in
+//! isolation.
+//!
+//! Both gated pairs share one measurement core ([`paired_reps`]): each
+//! rep times off then on back-to-back, sharing one noise window, and
+//! the gate statistic is the *median of per-rep paired ratios* rather
+//! than a best-of ratio, which on busy machines compares two unrelated
+//! noise floors.
 
 use llstar_core::{analyze, GrammarAnalysis, Json};
 use llstar_runtime::{JsonlSink, NopHooks, Parser, SamplingSink, TokenStream, TraceSink};
@@ -58,7 +60,7 @@ pub struct OverheadRow {
     pub tier: &'static str,
     /// Observability mode (see [`MODES`]).
     pub mode: &'static str,
-    /// Repetitions measured (row keeps the best).
+    /// Repetitions measured (row keeps the best time).
     pub reps: u32,
     /// Corpus tokens (EOF excluded).
     pub input_tokens: usize,
@@ -68,10 +70,71 @@ pub struct OverheadRow {
     pub tokens_per_sec: u64,
     /// Slowdown versus this grammar's baseline (`metrics-off` /
     /// `spans-off`) row, in percent, clamped at 0 (faster than baseline
-    /// is measurement noise). Best-time ratio for the metrics matrix;
-    /// the gated `spans-on` row reports the median of per-rep paired
-    /// ratios instead (see [`spans_overhead_run`]).
+    /// is measurement noise). The gated `metrics-on` and `spans-on` rows
+    /// report the median of per-rep paired ratios (see [`paired_reps`]);
+    /// the once-run scale rows compare against the best baseline time.
     pub overhead_pct: f64,
+}
+
+impl OverheadRow {
+    fn new(
+        grammar: &'static str,
+        tier: Tier,
+        mode: &'static str,
+        reps: u32,
+        input_tokens: usize,
+        parse_time: Duration,
+        ratio: f64,
+    ) -> OverheadRow {
+        let secs = parse_time.as_secs_f64();
+        OverheadRow {
+            grammar,
+            tier: tier.label(),
+            mode,
+            reps,
+            input_tokens,
+            parse_time,
+            tokens_per_sec: if secs > 0.0 { (input_tokens as f64 / secs) as u64 } else { 0 },
+            overhead_pct: (100.0 * (ratio - 1.0)).max(0.0),
+        }
+    }
+}
+
+/// One grammar's gated pair, from [`paired_reps`].
+struct Paired {
+    best_off: Duration,
+    best_on: Duration,
+    /// Median of the per-rep `on / off` time ratios.
+    median_ratio: f64,
+}
+
+/// Shared measurement core for the gated off/on pairs. Each rep times
+/// `pass(i, false)` then `pass(i, true)` back-to-back for item `i`, so
+/// both sides share one noise window (CPU steal, frequency scaling) and
+/// the per-rep ratio cancels that common mode. Reps round-robin *across
+/// items*, so one grammar's reps spread over the whole measurement
+/// window instead of a single contiguous block a sustained noise spell
+/// could dominate. The gate statistic is the MEDIAN of each item's rep
+/// ratios — robust to spells that straddle a few pairs — while the best
+/// times feed the throughput columns.
+fn paired_reps(n: usize, reps: u32, mut pass: impl FnMut(usize, bool) -> Duration) -> Vec<Paired> {
+    let mut best = vec![(Duration::MAX, Duration::MAX); n];
+    let mut ratios: Vec<Vec<f64>> = vec![Vec::with_capacity(reps as usize); n];
+    for _ in 0..reps {
+        for i in 0..n {
+            let off = pass(i, false);
+            let on = pass(i, true);
+            best[i] = (best[i].0.min(off), best[i].1.min(on));
+            ratios[i].push(on.as_secs_f64() / off.as_secs_f64());
+        }
+    }
+    best.into_iter()
+        .zip(ratios)
+        .map(|((best_off, best_on), mut r)| {
+            r.sort_by(|x, y| x.partial_cmp(y).expect("finite ratios"));
+            Paired { best_off, best_on, median_ratio: r[r.len() / 2] }
+        })
+        .collect()
 }
 
 fn pass(
@@ -102,74 +165,66 @@ fn pass(
     elapsed
 }
 
-fn best_of(reps: u32, mut one: impl FnMut() -> Duration) -> Duration {
-    (0..reps).map(|_| one()).min().expect("at least one rep")
+/// The metrics matrix: the gated off/on pair for every entry via
+/// [`paired_reps`], then each entry's trace modes once.
+fn overhead_matrix(
+    entries: &[GauntletEntry],
+    tier: Tier,
+    seed: u64,
+    reps: u32,
+) -> Vec<OverheadRow> {
+    let grammars: Vec<llstar_grammar::Grammar> = entries.iter().map(|e| e.load()).collect();
+    let analyses: Vec<GrammarAnalysis> = grammars.iter().map(analyze).collect();
+    let streams: Vec<Vec<Vec<llstar_lexer::Token>>> = entries
+        .iter()
+        .zip(&grammars)
+        .map(|(entry, g)| {
+            let scanner = g.lexer.build().expect("gauntlet lexer builds");
+            gauntlet::corpus(entry, tier, seed)
+                .iter()
+                .map(|(label, text)| {
+                    scanner.tokenize(text).unwrap_or_else(|e| panic!("{label}: fails to lex: {e}"))
+                })
+                .collect()
+        })
+        .collect();
+    let run = |i: usize, metrics: bool, sink: Option<&mut dyn TraceSink>| {
+        pass(&grammars[i], &analyses[i], entries[i].start_rule, &streams[i], metrics, sink)
+    };
+
+    let paired = paired_reps(entries.len(), reps, |i, on| run(i, on, None));
+    let mut rows = Vec::with_capacity(entries.len() * MODES.len());
+    for (i, p) in paired.iter().enumerate() {
+        let sampled = {
+            let mut out = JsonlSink::new(std::io::sink());
+            let mut sampler = SamplingSink::new(&mut out, SAMPLE_N);
+            run(i, true, Some(&mut sampler))
+        };
+        let full = run(i, true, Some(&mut JsonlSink::new(std::io::sink())));
+        let input_tokens: usize = streams[i].iter().map(|s| s.len() - 1).sum();
+        let off = p.best_off.as_secs_f64();
+        let timings = [
+            ("metrics-off", reps, p.best_off, 1.0),
+            ("metrics-on", reps, p.best_on, p.median_ratio),
+            ("trace-sampled-64", 1, sampled, sampled.as_secs_f64() / off),
+            ("trace-full", 1, full, full.as_secs_f64() / off),
+        ];
+        rows.extend(timings.into_iter().map(|(mode, r, t, ratio)| {
+            OverheadRow::new(entries[i].name, tier, mode, r, input_tokens, t, ratio)
+        }));
+    }
+    rows
 }
 
 /// Measures all four modes for one gauntlet grammar.
 pub fn overhead_run(entry: &GauntletEntry, tier: Tier, seed: u64, reps: u32) -> Vec<OverheadRow> {
-    let inputs = gauntlet::corpus(entry, tier, seed);
-    let g = entry.load();
-    let a = analyze(&g);
-    let scanner = g.lexer.build().expect("gauntlet lexer builds");
-    let streams: Vec<Vec<llstar_lexer::Token>> = inputs
-        .iter()
-        .map(|(label, text)| {
-            scanner.tokenize(text).unwrap_or_else(|e| panic!("{label}: fails to lex: {e}"))
-        })
-        .collect();
-    let input_tokens: usize = streams.iter().map(|s| s.len() - 1).sum();
-    let start = entry.start_rule;
-
-    let timings: Vec<(&'static str, u32, Duration)> = MODES
-        .iter()
-        .map(|&mode| {
-            let (r, t) = match mode {
-                "metrics-off" => {
-                    (reps, best_of(reps, || pass(&g, &a, start, &streams, false, None)))
-                }
-                "metrics-on" => (reps, best_of(reps, || pass(&g, &a, start, &streams, true, None))),
-                "trace-sampled-64" => {
-                    let mut out = JsonlSink::new(std::io::sink());
-                    let mut sampler = SamplingSink::new(&mut out, SAMPLE_N);
-                    (1, pass(&g, &a, start, &streams, true, Some(&mut sampler)))
-                }
-                "trace-full" => {
-                    let mut out = JsonlSink::new(std::io::sink());
-                    (1, pass(&g, &a, start, &streams, true, Some(&mut out)))
-                }
-                _ => unreachable!("unknown mode"),
-            };
-            (mode, r, t)
-        })
-        .collect();
-
-    let off = timings[0].2;
-    timings
-        .into_iter()
-        .map(|(mode, r, t)| {
-            let overhead = (100.0 * (t.as_secs_f64() / off.as_secs_f64() - 1.0)).max(0.0);
-            OverheadRow {
-                grammar: entry.name,
-                tier: tier.label(),
-                mode,
-                reps: r,
-                input_tokens,
-                parse_time: t,
-                tokens_per_sec: if t.as_secs_f64() > 0.0 {
-                    (input_tokens as f64 / t.as_secs_f64()) as u64
-                } else {
-                    0
-                },
-                overhead_pct: overhead,
-            }
-        })
-        .collect()
+    overhead_matrix(std::slice::from_ref(entry), tier, seed, reps)
 }
 
-/// Measures every gauntlet grammar at `tier`.
+/// Measures every gauntlet grammar at `tier`, round-robining the gated
+/// reps across grammars (see [`paired_reps`]).
 pub fn overhead_all(tier: Tier, seed: u64, reps: u32) -> Vec<OverheadRow> {
-    gauntlet::all().iter().flat_map(|e| overhead_run(e, tier, seed, reps)).collect()
+    overhead_matrix(&gauntlet::all(), tier, seed, reps)
 }
 
 fn span_pass(
@@ -221,17 +276,8 @@ fn span_pass(
     elapsed
 }
 
-/// Shared measurement core: all three span modes for each entry.
-///
-/// The gated pair is measured as *paired* back-to-back reps: each rep
-/// times spans-off then spans-on within the same noise window (CPU
-/// steal, frequency scaling), and the per-rep ratio cancels that
-/// common mode. Reps round-robin *across grammars*, so one grammar's
-/// reps spread over the whole measurement window instead of a single
-/// contiguous block a sustained noise spell could dominate. The gate
-/// statistic is the MEDIAN of each grammar's rep ratios — robust to
-/// spells that straddle a few pairs — while the row times keep the
-/// per-mode minima for the throughput columns.
+/// The spans matrix: the gated off/on pair for every entry via
+/// [`paired_reps`], then each entry's harvest mode once.
 fn spans_overhead_matrix(
     entries: &[GauntletEntry],
     tier: Tier,
@@ -244,45 +290,15 @@ fn spans_overhead_matrix(
     let analyses: Vec<GrammarAnalysis> = grammars.iter().map(analyze).collect();
     let scanners: Vec<llstar_lexer::Scanner> =
         grammars.iter().map(|g| g.lexer.build().expect("gauntlet lexer builds")).collect();
-
-    let n = entries.len();
-    let mut best_off = vec![Duration::MAX; n];
-    let mut best_on = vec![Duration::MAX; n];
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::with_capacity(reps as usize); n];
-    for _ in 0..reps {
-        for i in 0..n {
-            let start = entries[i].start_rule;
-            let off = span_pass(
-                &grammars[i],
-                &analyses[i],
-                start,
-                &scanners[i],
-                &corpora[i],
-                false,
-                false,
-            );
-            let on = span_pass(
-                &grammars[i],
-                &analyses[i],
-                start,
-                &scanners[i],
-                &corpora[i],
-                true,
-                false,
-            );
-            best_off[i] = best_off[i].min(off);
-            best_on[i] = best_on[i].min(on);
-            ratios[i].push(on.as_secs_f64() / off.as_secs_f64());
-        }
-    }
-
-    let mut rows = Vec::with_capacity(n * SPAN_MODES.len());
-    for i in 0..n {
+    let run = |i: usize, record: bool, harvest: bool| {
         let start = entries[i].start_rule;
-        ratios[i].sort_by(|x, y| x.partial_cmp(y).expect("finite ratios"));
-        let median_ratio = ratios[i][ratios[i].len() / 2];
-        let harvest =
-            span_pass(&grammars[i], &analyses[i], start, &scanners[i], &corpora[i], true, true);
+        span_pass(&grammars[i], &analyses[i], start, &scanners[i], &corpora[i], record, harvest)
+    };
+
+    let paired = paired_reps(entries.len(), reps, |i, on| run(i, on, false));
+    let mut rows = Vec::with_capacity(entries.len() * SPAN_MODES.len());
+    for (i, p) in paired.iter().enumerate() {
+        let harvest = run(i, true, true);
         let input_tokens: usize = corpora[i]
             .iter()
             .map(|(label, text)| {
@@ -293,34 +309,13 @@ fn spans_overhead_matrix(
                     - 1
             })
             .sum();
-        let timings: Vec<(&'static str, u32, Duration)> = vec![
-            ("spans-off", reps, best_off[i]),
-            ("spans-on", reps, best_on[i]),
-            ("spans-harvest", 1, harvest),
+        let timings = [
+            ("spans-off", reps, p.best_off, 1.0),
+            ("spans-on", reps, p.best_on, p.median_ratio),
+            ("spans-harvest", 1, harvest, harvest.as_secs_f64() / p.best_off.as_secs_f64()),
         ];
-        let off = timings[0].2;
-        rows.extend(timings.into_iter().map(|(mode, r, t)| {
-            // The gated spans-on row reports the median paired ratio;
-            // the informational harvest row compares best times.
-            let overhead = if mode == "spans-on" {
-                (100.0 * (median_ratio - 1.0)).max(0.0)
-            } else {
-                (100.0 * (t.as_secs_f64() / off.as_secs_f64() - 1.0)).max(0.0)
-            };
-            OverheadRow {
-                grammar: entries[i].name,
-                tier: tier.label(),
-                mode,
-                reps: r,
-                input_tokens,
-                parse_time: t,
-                tokens_per_sec: if t.as_secs_f64() > 0.0 {
-                    (input_tokens as f64 / t.as_secs_f64()) as u64
-                } else {
-                    0
-                },
-                overhead_pct: overhead,
-            }
+        rows.extend(timings.into_iter().map(|(mode, r, t, ratio)| {
+            OverheadRow::new(entries[i].name, tier, mode, r, input_tokens, t, ratio)
         }));
     }
     rows
@@ -337,7 +332,7 @@ pub fn spans_overhead_run(
 }
 
 /// Measures every gauntlet grammar's span-recording cost at `tier`,
-/// round-robining reps across grammars (see [`spans_overhead_run`]).
+/// round-robining the gated reps across grammars (see [`paired_reps`]).
 pub fn spans_overhead_all(tier: Tier, seed: u64, reps: u32) -> Vec<OverheadRow> {
     spans_overhead_matrix(&gauntlet::all(), tier, seed, reps)
 }
