@@ -11,6 +11,9 @@
 //!   allocation, no `Option<sink>` branch — cheap enough for
 //!   `llstar serve`-style deployments to leave on under load.
 //!
+//! [`ParseStats`], the paper's Tables 3–4 per parse, is a view over
+//! these counters rather than a second fold.
+//!
 //! The layers are: [`ParseMetrics`] lives inside one parser and is
 //! cleared by [`Parser::reset`]; [`MetricsSnapshot`] is the mergeable,
 //! label-carrying export form (deterministic JSON for parity testing,
@@ -20,6 +23,7 @@
 //! concurrently without locking the hot path.
 //!
 //! [`Parser::reset`]: crate::Parser::reset
+//! [`ParseStats`]: crate::ParseStats
 
 use llstar_core::schema::{self, StreamKind};
 use llstar_core::Json;
@@ -224,7 +228,8 @@ pub struct ParseMetrics {
     /// A/B switch for the overhead bench **only**: the default (`true`)
     /// hot path is unconditional increments; flipping this off restores
     /// the metrics-free baseline so `metrics_overhead` rows can measure
-    /// the substrate's real cost. Not reset by [`ParseMetrics::reset`].
+    /// the substrate's real cost; the parser's `ParseStats` view then
+    /// reads zero too. Not reset by [`ParseMetrics::reset`].
     enabled: bool,
 }
 

@@ -1,16 +1,17 @@
 //! Runtime prediction tracing: typed events emitted by the parser,
 //! consumed through the [`TraceSink`] trait.
 //!
-//! The event stream is the single source of truth for runtime
-//! observability — [`ParseStats`] is a fold over it (see
-//! [`ParseStats::apply`]), the `llstar profile` subcommand renders it,
-//! and [`JsonlSink`] exports it one JSON object per line. Events carry
-//! token indices and counters but never wall-clock timestamps, so the
-//! JSONL stream for a given grammar + input is byte-identical across
-//! runs.
+//! The event stream is the opt-in, full-fidelity tier of runtime
+//! observability: the span recorder folds it, the `llstar profile`
+//! subcommand renders it, and [`JsonlSink`] exports it one JSON object
+//! per line. The parser builds events only while a sink or a span
+//! recorder is attached; the always-on counters behind [`ParseStats`]
+//! are bumped at the same sites either way, and tests check that the
+//! event counts agree with them. Events carry token indices and
+//! counters but never wall-clock timestamps, so the JSONL stream for a
+//! given grammar + input is byte-identical across runs.
 //!
 //! [`ParseStats`]: crate::stats::ParseStats
-//! [`ParseStats::apply`]: crate::stats::ParseStats::apply
 
 use llstar_core::json::{quote, Json};
 use llstar_core::schema;
