@@ -251,3 +251,20 @@ pub fn fingerprint(bytes: &[u8]) -> String {
     io::Write::write_all(&mut w, bytes).expect("hash writer never fails");
     w.fingerprint()
 }
+
+/// A seeded single-token-deletion mutant of `text`: one token (EOF
+/// excluded), picked by `rng`, is cut out of the source bytes, so the
+/// rest of the input keeps its line and column positions. Returns the
+/// deleted token's index with the mutant.
+pub fn delete_token(
+    scanner: &llstar::lexer::Scanner,
+    text: &str,
+    rng: &mut llstar_rng::Rng64,
+) -> (usize, String) {
+    let tokens = scanner.tokenize(text).expect("base input lexes");
+    let real = tokens.iter().filter(|t| !t.ttype.is_eof()).count();
+    assert!(real > 0, "no token to delete");
+    let i = rng.gen_range(0..real);
+    let span = tokens[i].span;
+    (i, format!("{}{}", &text[..span.start], &text[span.end..]))
+}

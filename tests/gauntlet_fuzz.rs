@@ -23,19 +23,25 @@
 //! minimal sequence, written to `tests/golden/gauntlet/` (so CI uploads
 //! it as an artifact), and the test fails naming the file. Previously
 //! reduced cases are replayed by `golden_corpus_replays`.
+//!
+//! Separately, `strict_errors_match_golden` pins what the strict engine
+//! reports for seeded single-token deletions: the first error's text and
+//! token index, which the verdict comparison above never looks at.
 
 use llstar::codegen::generate;
 use llstar::core::GrammarAnalysis;
 use llstar::grammar::Grammar;
 use llstar::packrat::PackratParser;
-use llstar::runtime::{JsonlSink, NopHooks, Parser, TokenStream};
+use llstar::runtime::{lex_stream, JsonlSink, NopHooks, Parser, TokenStream};
 use llstar_rng::Rng64;
-use llstar_suite::gauntlet::{all, by_name, GauntletEntry};
+use llstar_suite::gauntlet::{all, by_name, corpus, GauntletEntry, Tier};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 mod common;
-use common::{compile_generated, fingerprint, load_grammar_source, repo_path, HashWriter};
+use common::{
+    compile_generated, delete_token, fingerprint, load_grammar_source, repo_path, HashWriter,
+};
 
 const FUZZ_SEED: u64 = 0xF0225EED;
 /// Input mutants per gauntlet grammar.
@@ -399,6 +405,10 @@ fn golden_corpus_replays() {
         .expect("golden gauntlet dir exists")
         .map(|e| e.expect("dir entry").path())
         .filter(|p| p.extension().is_some_and(|e| e == "txt"))
+        // `errors-*` files are reported-error goldens, not inputs.
+        .filter(|p| {
+            !p.file_name().and_then(|n| n.to_str()).is_some_and(|n| n.starts_with("errors-"))
+        })
         .collect();
     files.sort();
     assert!(!files.is_empty(), "golden gauntlet corpus is empty");
@@ -432,4 +442,64 @@ fn golden_corpus_replays() {
                 .unwrap_or_else(|e| panic!("{stem}: packrat rejected an accept golden: {e}"));
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Reported-error golden
+// ---------------------------------------------------------------------
+
+/// Single-token-deletion mutants per grammar in the error golden.
+const ERROR_MUTANTS: usize = 50;
+
+/// One line per seeded deletion mutant of the tier's corpus: the mutant
+/// number, source file, deleted token, and what strict parsing reports —
+/// the first error's token index and `Display` text, `OK` when the
+/// mutant still parses, or `LEX` with the lexer error.
+fn strict_error_lines(name: &str, tier: Tier) -> String {
+    let entry = by_name(name).expect("gauntlet grammar");
+    let (g, a) = load_grammar_source(entry.source);
+    let scanner = g.lexer.build().expect("lexer builds");
+    let inputs = corpus(&entry, tier, FUZZ_SEED);
+    let mut rng = Rng64::seed_from_u64(FUZZ_SEED ^ 0xE770_5EED ^ name.len() as u64);
+    let mut out = String::new();
+    for k in 0..ERROR_MUTANTS {
+        let (label, text) = &inputs[k % inputs.len()];
+        let (deleted, mutant) = delete_token(&scanner, text, &mut rng);
+        let verdict = match lex_stream(&scanner, &a, &mutant) {
+            Err(e) => format!("LEX {e}"),
+            Ok(stream) => {
+                match Parser::new(&g, &a, stream, NopHooks).parse_to_eof(entry.start_rule) {
+                    Ok(_) => "OK".to_string(),
+                    Err(e) => format!("{} {e}", e.token_index),
+                }
+            }
+        };
+        out.push_str(&format!("{k:02} {label} del={deleted} {verdict}\n"));
+    }
+    out
+}
+
+/// Replays `tests/golden/gauntlet/errors-<grammar>-<tier>.txt`. Strict
+/// mode reports the deepest error over every speculative attempt
+/// (Section 4.4), so these lines move if speculation builds, keeps or
+/// compares its errors differently.
+fn replay_error_golden(name: &str) {
+    let tier = Tier::from_env();
+    let path = repo_path(&format!("tests/golden/gauntlet/errors-{name}-{}.txt", tier.label()));
+    let want = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+    let got = strict_error_lines(name, tier);
+    for (i, (w, g)) in want.lines().zip(got.lines()).enumerate() {
+        assert_eq!(g, w, "{}: line {} differs", path.display(), i + 1);
+    }
+    assert_eq!(got.lines().count(), want.lines().count(), "{}: line count", path.display());
+}
+
+#[test]
+fn java8_strict_errors_match_golden() {
+    replay_error_golden("java8");
+}
+
+#[test]
+fn sql_strict_errors_match_golden() {
+    replay_error_golden("sql");
 }
