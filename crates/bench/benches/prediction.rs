@@ -1,6 +1,6 @@
 //! Prediction dispatch: tokens/sec through representative suite
 //! decisions (fixed-k, cyclic, backtracking) under the linear `edges`
-//! scan versus the compiled dense and row-displaced tables.
+//! scan versus the compiled dense tables.
 //!
 //! Beyond the per-strategy timings this bench renders the dispatch
 //! table and appends the `prediction` rows — table bytes per decision
@@ -10,9 +10,9 @@
 //! Flags:
 //! - `--quick`: shorter walks, fewer reps, harness display skipped
 //!   (CI smoke mode).
-//! - `--gate`: exit non-zero if the auto-chosen compiled representation
-//!   is slower than the linear scan (beyond 10% noise tolerance) on any
-//!   measured decision.
+//! - `--gate`: exit non-zero if the compiled (dense) table is slower than
+//!   the linear scan (beyond 10% noise tolerance) on any measured
+//!   decision.
 //! - `--json PATH`: also write a standalone schema-versioned JSONL
 //!   stream (header + prediction rows) to `PATH`.
 
@@ -50,9 +50,6 @@ fn main() {
             group.bench_function(format!("{id}/dense"), || {
                 black_box(report::table_dispatch(&c.dense, &c.classes, &c.seq))
             });
-            group.bench_function(format!("{id}/displaced"), || {
-                black_box(report::table_dispatch(&c.displaced, &c.classes, &c.seq))
-            });
         }
         group.finish();
     }
@@ -75,13 +72,12 @@ fn main() {
     if gate {
         let mut failed = false;
         for r in &rows {
-            let chosen = if r.row_displaced { r.displaced_micros } else { r.dense_micros };
             // 10% tolerance: micro-timings jitter, but the compiled path
             // must never be meaningfully slower than the linear scan.
-            if chosen as f64 > r.linear_micros as f64 * 1.10 {
+            if r.dense_micros as f64 > r.linear_micros as f64 * 1.10 {
                 eprintln!(
                     "GATE FAIL: {}/d{} ({}) compiled {}us > linear {}us",
-                    r.name, r.decision, r.class, chosen, r.linear_micros
+                    r.name, r.decision, r.class, r.dense_micros, r.linear_micros
                 );
                 failed = true;
             }

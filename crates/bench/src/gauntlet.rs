@@ -2,9 +2,10 @@
 //! backtracking behaviour) reproduced over the realistic gauntlet
 //! grammars, with one row per `grammar × engine` cell. Engines:
 //!
-//! - `interp-linear` — ATN interpreter, linear `DfaState::edges` scan;
-//! - `interp-compiled` — ATN interpreter through the compiled
-//!   dense/row-displaced dispatch tables;
+//! - `interp-linear` — ATN interpreter, linear `DfaState::edges` scan
+//!   (an analysis whose compiled tables are disabled);
+//! - `interp-compiled` — ATN interpreter through the compiled dense
+//!   dispatch tables;
 //! - `packrat-memo` — the memoized packrat recognizer baseline;
 //! - `packrat-nomemo` — the same recognizer with memoization off and a
 //!   fuel cap (without memoization the PEG-mode grammars degrade
@@ -21,7 +22,7 @@
 //! [`Parser::reset`] exactly like the gauntlet oracle does.
 
 use crate::report::can_backtrack_by_id;
-use llstar_core::{analyze, GrammarAnalysis, Json};
+use llstar_core::{analyze, CompiledTables, GrammarAnalysis, Json};
 use llstar_packrat::PackratParser;
 use llstar_runtime::{NopHooks, Parser, TokenStream, TraceEvent, TraceSink};
 use llstar_suite::gauntlet::{self, GauntletEntry, Tier};
@@ -138,19 +139,10 @@ pub fn gauntlet_run(entry: &GauntletEntry, tier: Tier, seed: u64) -> Vec<Gauntle
     let input_bytes: usize = inputs.iter().map(|(_, t)| t.len()).sum();
     let input_tokens: usize = streams.iter().map(|s| s.len() - 1).sum();
 
+    let linear = GrammarAnalysis { tables: CompiledTables::disabled(), ..a.clone() };
     let mut rows = Vec::with_capacity(4);
-    for (engine, compiled) in [("interp-linear", false), ("interp-compiled", true)] {
-        rows.push(interp_row(
-            entry,
-            tier,
-            &g,
-            &a,
-            &streams,
-            input_bytes,
-            input_tokens,
-            engine,
-            compiled,
-        ));
+    for (engine, a) in [("interp-linear", &linear), ("interp-compiled", &a)] {
+        rows.push(interp_row(entry, tier, &g, a, &streams, input_bytes, input_tokens, engine));
     }
     for (engine, memoize) in [("packrat-memo", true), ("packrat-nomemo", false)] {
         rows.push(packrat_row(
@@ -177,7 +169,6 @@ fn interp_row(
     input_bytes: usize,
     input_tokens: usize,
     engine: &'static str,
-    compiled: bool,
 ) -> GauntletRow {
     let can_backtrack = can_backtrack_by_id(a);
     let n_decisions = can_backtrack.len();
@@ -192,7 +183,6 @@ fn interp_row(
 
     let mut hist = LookaheadHist::new();
     let mut parser = Parser::new(g, a, TokenStream::new(streams[0].clone()), NopHooks);
-    parser.set_compiled_dispatch(compiled);
     parser.set_trace_sink(&mut hist);
     for (i, stream) in streams.iter().enumerate() {
         let tokens = TokenStream::new(stream.clone());

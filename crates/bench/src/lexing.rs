@@ -5,8 +5,8 @@
 //! - `scalar` — the reference char-at-a-time DFA walk over the
 //!   [`ScannerDfa`] (per-char class lookup, binary-searched edges);
 //! - `table` — the lowered byte-class table walk
-//!   ([`ScannerTables`]: dense or row-displaced `next` array, ASCII
-//!   byte map, dead-class encoding);
+//!   ([`ScannerTables`]: dense `next` array, ASCII byte map, dead-class
+//!   encoding);
 //! - `fused` — the `table` path plus parser token-class stamping
 //!   ([`Scanner::tokenize_classified`]), i.e. what the runtime front
 //!   end actually executes before prediction.

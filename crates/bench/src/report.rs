@@ -718,8 +718,8 @@ pub fn coverage_overhead_jsonl(rows: &[CoverageOverheadRow]) -> String {
 // ---------------------------------------------------------------------------
 
 /// One prediction-dispatch measurement: a single suite decision driven
-/// over the same synthetic token sequence by the linear `edges` scan,
-/// the dense compiled table, and the row-displaced compiled table.
+/// over the same synthetic token sequence by the linear `edges` scan and
+/// by the dense compiled table.
 #[derive(Debug, Clone)]
 pub struct PredictionRow {
     /// Grammar name.
@@ -734,21 +734,17 @@ pub struct PredictionRow {
     pub linear_micros: u64,
     /// Dense-table dispatch, microseconds (best of reps).
     pub dense_micros: u64,
-    /// Row-displaced-table dispatch, microseconds (best of reps).
-    pub displaced_micros: u64,
-    /// Speedup of the auto-chosen representation over the linear scan,
-    /// in thousandths (2000 = 2.0×) — integer so the JSONL stays exact.
+    /// Speedup of the dense table over the linear scan, in thousandths
+    /// (2000 = 2.0×) — integer so the JSONL stays exact.
     pub speedup_milli: u64,
-    /// Bytes of the auto-chosen compiled table (transition cells plus
-    /// accept/default/predicate side tables and the class map share).
+    /// Bytes of the compiled table (transition cells plus
+    /// accept/default/predicate side tables).
     pub table_bytes: usize,
-    /// Whether the auto choice picked the row-displaced representation.
-    pub row_displaced: bool,
 }
 
 /// One selected decision plus everything needed to drive it: the cloned
-/// DFA, the grammar's class partition, both lowered representations,
-/// and the token walk all three dispatch strategies share.
+/// DFA, the grammar's class partition, the lowered table, and the token
+/// walk both dispatch strategies share.
 #[derive(Debug, Clone)]
 pub struct PredictionCase {
     /// Grammar name.
@@ -763,12 +759,6 @@ pub struct PredictionCase {
     pub classes: TokenClasses,
     /// Dense lowering.
     pub dense: CompiledDfa,
-    /// Row-displaced lowering.
-    pub displaced: CompiledDfa,
-    /// Whether the auto choice picked row displacement.
-    pub row_displaced: bool,
-    /// Bytes of the auto-chosen table.
-    pub table_bytes: usize,
     /// The deterministic token walk to dispatch.
     pub seq: Vec<TokenType>,
 }
@@ -889,12 +879,9 @@ pub fn prediction_cases(tokens: usize, seed: u64) -> Vec<PredictionCase> {
                 continue;
             }
             let seq = prediction_walk(dfa, grammar.vocab.len(), tokens, seed ^ i as u64);
-            let dense = CompiledDfa::lower_dense(dfa, classes);
-            let displaced = CompiledDfa::lower_row_displaced(dfa, classes);
-            let auto = CompiledDfa::lower(dfa, classes);
+            let dense = CompiledDfa::lower(dfa, classes);
             let expected = linear_dispatch(dfa, &seq);
             assert_eq!(expected, table_dispatch(&dense, classes, &seq), "dense parity");
-            assert_eq!(expected, table_dispatch(&displaced, classes, &seq), "displaced parity");
             cases.push(PredictionCase {
                 name: entry.name,
                 decision: i,
@@ -902,9 +889,6 @@ pub fn prediction_cases(tokens: usize, seed: u64) -> Vec<PredictionCase> {
                 dfa: dfa.clone(),
                 classes: classes.clone(),
                 dense,
-                displaced,
-                row_displaced: auto.is_row_displaced(),
-                table_bytes: auto.table_bytes(),
                 seq,
             });
         }
@@ -912,16 +896,13 @@ pub fn prediction_cases(tokens: usize, seed: u64) -> Vec<PredictionCase> {
     cases
 }
 
-/// Times every case's three dispatch strategies (best of `reps`).
+/// Times every case's two dispatch strategies (best of `reps`).
 pub fn measure_prediction(cases: &[PredictionCase], reps: usize) -> Vec<PredictionRow> {
     cases
         .iter()
         .map(|c| {
             let linear_micros = best_micros(reps, || linear_dispatch(&c.dfa, &c.seq));
             let dense_micros = best_micros(reps, || table_dispatch(&c.dense, &c.classes, &c.seq));
-            let displaced_micros =
-                best_micros(reps, || table_dispatch(&c.displaced, &c.classes, &c.seq));
-            let chosen = if c.row_displaced { displaced_micros } else { dense_micros }.max(1);
             PredictionRow {
                 name: c.name,
                 decision: c.decision,
@@ -929,10 +910,8 @@ pub fn measure_prediction(cases: &[PredictionCase], reps: usize) -> Vec<Predicti
                 tokens: c.seq.len(),
                 linear_micros,
                 dense_micros,
-                displaced_micros,
-                speedup_milli: linear_micros.saturating_mul(1000) / chosen,
-                table_bytes: c.table_bytes,
-                row_displaced: c.row_displaced,
+                speedup_milli: linear_micros.saturating_mul(1000) / dense_micros.max(1),
+                table_bytes: c.dense.table_bytes(),
             }
         })
         .collect()
@@ -943,26 +922,23 @@ pub fn prediction_all(tokens: usize, reps: usize, seed: u64) -> Vec<PredictionRo
     measure_prediction(&prediction_cases(tokens, seed), reps)
 }
 
-/// Formats the prediction-dispatch table, with per-decision table bytes
-/// so the compression trade-off is visible.
+/// Formats the prediction-dispatch table, with per-decision table bytes.
 pub fn format_prediction(rows: &[PredictionRow]) -> String {
     let mut out = String::from(
         "Prediction dispatch (same token walk; linear edge scan vs compiled tables)\n\
-         Grammar    Dec  Class        Tokens   Linear    Dense  Displaced  Speedup  Table-B  Repr\n",
+         Grammar    Dec  Class        Tokens   Linear    Dense  Speedup  Table-B\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<10} {:>3}  {:<10} {:>7} {:>6}us {:>6}us {:>8}us {:>7.2}x {:>8}  {}\n",
+            "{:<10} {:>3}  {:<10} {:>7} {:>6}us {:>6}us {:>7.2}x {:>8}\n",
             r.name,
             r.decision,
             r.class,
             r.tokens,
             r.linear_micros,
             r.dense_micros,
-            r.displaced_micros,
             r.speedup_milli as f64 / 1000.0,
             r.table_bytes,
-            if r.row_displaced { "displaced" } else { "dense" }
         ));
     }
     out
@@ -981,10 +957,8 @@ pub fn prediction_jsonl(rows: &[PredictionRow]) -> String {
             ("tokens".into(), Json::Num(r.tokens as u64)),
             ("linear-micros".into(), Json::Num(r.linear_micros)),
             ("dense-micros".into(), Json::Num(r.dense_micros)),
-            ("displaced-micros".into(), Json::Num(r.displaced_micros)),
             ("speedup-milli".into(), Json::Num(r.speedup_milli)),
             ("table-bytes".into(), Json::Num(r.table_bytes as u64)),
-            ("row-displaced".into(), Json::Bool(r.row_displaced)),
         ]);
         out.push_str(&line.to_string());
         out.push('\n');

@@ -3,8 +3,8 @@
 //!
 //! When the scanner DFA lowered (see [`llstar_lexer::ScannerTables`]), the
 //! generated tokenizer mirrors the interpreter's fast path: a 128-entry
-//! byte-class map (binary search for non-ASCII codepoints), a dense or
-//! row-displaced `next[state * classes + class]` table, and a per-state
+//! byte-class map (binary search for non-ASCII codepoints), a dense
+//! `next[state * classes + class]` table, and a per-state
 //! accept table. When lowering was refused, the legacy char-class tables
 //! are emitted instead — with binary-searched class and transition
 //! lookups, never a linear scan.
@@ -17,7 +17,7 @@
 use crate::writer::CodeWriter;
 use llstar_core::GrammarAnalysis;
 use llstar_grammar::Grammar;
-use llstar_lexer::{ScanNext, Scanner, ScannerTables};
+use llstar_lexer::{Scanner, ScannerTables};
 
 /// Generates the lexer tables and `tokenize` for `grammar` into `w`.
 ///
@@ -55,7 +55,7 @@ pub fn emit_lexer(
 }
 
 /// The lowered byte-table matcher: `LEX_BCLASS`/`LEX_WIDE` byte classes,
-/// dense or displaced `next`, and per-state accept.
+/// dense `next`, and per-state accept.
 fn emit_lowered_matcher(w: &mut CodeWriter, tables: &ScannerTables) {
     let nc = tables.num_classes();
     w.line(&format!("const LEX_NC: usize = {nc}; // classes incl. the dead class"));
@@ -65,26 +65,11 @@ fn emit_lowered_matcher(w: &mut CodeWriter, tables: &ScannerTables) {
         tables.wide_ranges().iter().map(|&(lo, hi, c)| format!("({lo}, {hi}, {c})")).collect();
     w.line(&format!("static LEX_WIDE: &[(u32, u32, u8)] = &[{}];", wide.join(", ")));
     let fmt16 = |xs: &[u16]| xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(", ");
-    match tables.next_table() {
-        ScanNext::Dense(next) => {
-            w.line(&format!("static LEX_NEXT: &[u16] = &[{}];", fmt16(next)));
-            w.blank();
-            w.open("fn lex_next(state: usize, class: usize) -> u16 {");
-            w.line("LEX_NEXT[state * LEX_NC + class]");
-            w.close("}");
-        }
-        ScanNext::RowDisplaced { base, check, next } => {
-            let base_s: Vec<String> = base.iter().map(|x| x.to_string()).collect();
-            w.line(&format!("static LEX_BASE: &[u32] = &[{}];", base_s.join(", ")));
-            w.line(&format!("static LEX_CHECK: &[u16] = &[{}];", fmt16(check)));
-            w.line(&format!("static LEX_NEXT: &[u16] = &[{}];", fmt16(next)));
-            w.blank();
-            w.open("fn lex_next(state: usize, class: usize) -> u16 {");
-            w.line("let slot = LEX_BASE[state] as usize + class;");
-            w.line("if LEX_CHECK[slot] == state as u16 { LEX_NEXT[slot] } else { u16::MAX }");
-            w.close("}");
-        }
-    }
+    w.line(&format!("static LEX_NEXT: &[u16] = &[{}];", fmt16(tables.next_table())));
+    w.blank();
+    w.open("fn lex_next(state: usize, class: usize) -> u16 {");
+    w.line("LEX_NEXT[state * LEX_NC + class]");
+    w.close("}");
     let accepts = fmt16(tables.accept_table());
     w.line(&format!("static LEX_ACCEPT: &[u16] = &[{accepts}];"));
     w.blank();

@@ -5,7 +5,7 @@
 
 use crate::writer::CodeWriter;
 use crate::CodegenOptions;
-use llstar_core::{CompiledDfa, DecisionKind, DfaState, GrammarAnalysis, NextTable, PredSource};
+use llstar_core::{CompiledDfa, DecisionKind, DfaState, GrammarAnalysis, PredSource};
 use llstar_grammar::{Alt, Block, Ebnf, Element, Grammar};
 
 /// Walks grammar constructs in the exact order the ATN builder numbered
@@ -151,24 +151,21 @@ impl<'a> ParserGen<'a> {
 
     /// Emits the compiled prediction tables as `static` arrays: the
     /// grammar-wide token→class map plus, per emitted predictor, the
-    /// accept/default side tables and the dense (or row-displaced)
-    /// transition table the predictor loop indexes. This is the
-    /// generated-parser counterpart of ANTLR's serialized decision
-    /// tables. Nothing is emitted when lowering was disabled (the
-    /// predictors then carry unrolled per-state `match`es instead).
+    /// accept/default side tables and the dense transition table the
+    /// predictor loop indexes. This is the generated-parser counterpart
+    /// of ANTLR's serialized decision tables. Nothing is emitted when
+    /// lowering was disabled (the predictors then carry unrolled
+    /// per-state `match`es instead). The class map itself lives in
+    /// `LEX_PCLASS` (fused into tokenization).
     fn emit_prediction_tables(&self, w: &mut CodeWriter, used: &[usize]) {
-        let Some(classes) = self.analysis.tables.classes() else {
-            return;
-        };
-        if used.is_empty() {
+        if !self.analysis.tables.enabled() || used.is_empty() {
             return;
         }
         let fmt = |xs: &[u32]| -> String {
             xs.iter().map(|x| x.to_string()).collect::<Vec<_>>().join(", ")
         };
-        let _ = classes; // the class map itself lives in LEX_PCLASS (fused)
         w.blank();
-        w.line("// Compiled prediction tables: one row-compressed DFA per decision");
+        w.line("// Compiled prediction tables: one dense DFA table per decision");
         w.line("// over token equivalence classes. u32::MAX marks \"no transition\",");
         w.line("// u16::MAX marks \"no alternative\". Lookaheads are classified at");
         w.line("// tokenize time (token.class, via LEX_PCLASS), not probed here.");
@@ -178,16 +175,7 @@ impl<'a> ParserGen<'a> {
             w.line(&format!("static D{d}_ACCEPT: &[u16] = &[{accept}];"));
             let default = fmt(&table.default_alt.iter().map(|&a| a as u32).collect::<Vec<_>>());
             w.line(&format!("static D{d}_DEFAULT: &[u16] = &[{default}];"));
-            match &table.table {
-                NextTable::Dense(next) => {
-                    w.line(&format!("static D{d}_NEXT: &[u32] = &[{}];", fmt(next)));
-                }
-                NextTable::RowDisplaced { base, check, next } => {
-                    w.line(&format!("static D{d}_BASE: &[u32] = &[{}];", fmt(base)));
-                    w.line(&format!("static D{d}_CHECK: &[u32] = &[{}];", fmt(check)));
-                    w.line(&format!("static D{d}_NEXT: &[u32] = &[{}];", fmt(next)));
-                }
-            }
+            w.line(&format!("static D{d}_NEXT: &[u32] = &[{}];", fmt(&table.next)));
         }
     }
 
@@ -563,8 +551,8 @@ impl<'a> ParserGen<'a> {
             w.line("pub met: Metrics,");
         }
         if self.instrument() {
-            w.line("/// Tokens consumed by the most recent syntactic-predicate");
-            w.line("/// evaluation (memoized failures report 0).");
+            w.line("/// Tokens matched by the most recent syntactic-predicate");
+            w.line("/// evaluation (failures report 0).");
             w.line("last_spec: u64,");
         }
         w.close("}");
@@ -1073,7 +1061,9 @@ impl<'a> ParserGen<'a> {
         w.line("let stop = self.pos;");
         w.line("self.pos = start;");
         if self.instrument() {
-            w.line("self.last_spec = (stop - start) as u64;");
+            // Only a match counts toward the speculation depth, as in the
+            // interpreter's `eval_synpred`.
+            w.line("self.last_spec = if result.is_ok() { (stop - start) as u64 } else { 0 };");
         }
         w.open("let entry = match &result {");
         w.line("Ok(()) => Memo::Stop(stop),");
@@ -1414,17 +1404,7 @@ impl<'a> ParserGen<'a> {
             self.predict_ok_expr(decision, "__a")
         ));
         w.line("let __c = self.lc(i + 1);");
-        match &table.table {
-            NextTable::Dense(_) => {
-                w.line(&format!("let __t = D{decision}_NEXT[s * {} + __c];", table.num_classes));
-            }
-            NextTable::RowDisplaced { .. } => {
-                w.line(&format!("let __slot = D{decision}_BASE[s] as usize + __c;"));
-                w.line(&format!(
-                    "let __t = if D{decision}_CHECK[__slot] == s as u32 {{ D{decision}_NEXT[__slot] }} else {{ u32::MAX }};"
-                ));
-            }
-        }
+        w.line(&format!("let __t = D{decision}_NEXT[s * {} + __c];", table.num_classes));
         w.open("if __t != u32::MAX {");
         w.line("s = __t as usize;");
         w.line("i += 1;");

@@ -72,7 +72,7 @@ pub struct DecisionAnalysis {
 }
 
 /// Whole-grammar analysis output.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GrammarAnalysis {
     /// The ATN the analysis ran over.
     pub atn: Atn,
@@ -82,10 +82,14 @@ pub struct GrammarAnalysis {
     /// recomputed from the ATN on every construction path (including
     /// cache loads — like the ATN itself, they are never serialized).
     pub recovery: RecoverySets,
-    /// Compiled prediction tables (token equivalence classes + dense or
-    /// row-displaced transition tables), lowered from the decision DFAs
+    /// Compiled prediction tables (token equivalence classes + one dense
+    /// transition table per decision), lowered from the decision DFAs
     /// on every construction path — including cache loads — and never
-    /// serialized, like [`RecoverySets`].
+    /// serialized, like [`RecoverySets`]. The parser predicts through
+    /// them whenever they are enabled; [`CompiledTables::disabled`] here
+    /// selects the linear `DfaState::target` walk, which grammars over
+    /// 256 token classes always use and the parity tests use as the
+    /// reference.
     pub tables: CompiledTables,
     /// Wall-clock time spent analyzing (grammar → DFAs). For cache loads
     /// this is the deserialization time, not a subset-construction time.

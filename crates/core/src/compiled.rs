@@ -13,15 +13,12 @@
 //!    The partition is grammar-wide, so the shrink is modest on
 //!    token-hungry grammars; its main job is bounding row width to
 //!    ≤256 so the class map is a single `u8` load.
-//! 2. [`CompiledDfa`] lowers one DFA into a
+//! 2. [`CompiledDfa`] lowers one DFA into a dense
 //!    `next[state * num_classes + class] -> state` table plus flat
-//!    accept / default / predicate side tables. When the dense table
-//!    outgrows [`DENSE_CELL_BUDGET`] and is sparse enough to repay the
-//!    extra lookup indirection, a **row-displacement** compressed
-//!    variant (Tarjan & Yao's displaced-row scheme, as used by
-//!    classical LR generators) is chosen automatically: rows are
-//!    overlaid into one array at per-state offsets, with a `check`
-//!    array to reject slots owned by other rows.
+//!    accept / default / predicate side tables, so a transition is one
+//!    indexed load. Decision DFAs are small: the largest table among the
+//!    repository's grammars is 3,317 cells (java8, 13 KiB), so the table
+//!    is never compressed.
 //! 3. [`CompiledTables`] bundles the per-grammar class map with the
 //!    per-decision tables. It is derived data — recomputed from the DFAs
 //!    on every construction path (fresh analysis *and* cache load, like
@@ -38,17 +35,11 @@ use crate::dfa::LookaheadDfa;
 use crate::fxhash::FxHashMap;
 use llstar_lexer::TokenType;
 
-/// Sentinel in `next`/`check` tables: no transition / free slot.
+/// Sentinel in `next` tables: no transition.
 pub const NO_TARGET: u32 = u32::MAX;
 
 /// Sentinel in accept/default side tables: no alternative.
 pub const NO_ALT: u16 = u16::MAX;
-
-/// Dense transition tables up to this many `u32` cells (16 KiB) are
-/// kept dense by [`CompiledDfa::lower`]: they fit comfortably in cache,
-/// where the dense lookup's single indexed load beats the displaced
-/// check-and-load, and the byte saving is irrelevant at that size.
-pub const DENSE_CELL_BUDGET: usize = 4096;
 
 /// The per-grammar token equivalence-class partition.
 ///
@@ -144,25 +135,6 @@ impl TokenClasses {
     }
 }
 
-/// The transition-table representation a [`CompiledDfa`] chose.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum NextTable {
-    /// `next[state * num_classes + class]`, [`NO_TARGET`]-filled.
-    Dense(Vec<u32>),
-    /// Row-displacement compressed: row `s` lives at offset `base[s]`
-    /// in a shared slot array, and `check[base[s] + class] == s` tells a
-    /// slot from another row's entry. `check`/`next` are padded to
-    /// `max(base) + num_classes`, so lookups never go out of bounds.
-    RowDisplaced {
-        /// Per-state row offset into `next`/`check`.
-        base: Vec<u32>,
-        /// Owning state per slot ([`NO_TARGET`] = free).
-        check: Vec<u32>,
-        /// Target state per slot.
-        next: Vec<u32>,
-    },
-}
-
 /// One lookahead DFA lowered to flat tables. State numbering is the
 /// source DFA's, so paths recorded through this table match paths
 /// recorded through [`crate::dfa::DfaState::target`] byte for byte.
@@ -172,8 +144,8 @@ pub struct CompiledDfa {
     pub num_states: usize,
     /// Row width (the grammar's class count).
     pub num_classes: usize,
-    /// The transition table.
-    pub table: NextTable,
+    /// `next[state * num_classes + class]`, [`NO_TARGET`]-filled.
+    pub next: Vec<u32>,
     /// Accept alternative per state ([`NO_ALT`] = not an accept state).
     pub accept: Vec<u16>,
     /// Default ("else") alternative per state ([`NO_ALT`] = none).
@@ -186,32 +158,16 @@ pub struct CompiledDfa {
 }
 
 impl CompiledDfa {
-    /// Lowers `dfa` against the grammar's class partition, picking
-    /// between the dense and row-displaced representations.
-    ///
-    /// The displaced lookup costs an extra load-and-compare per
-    /// transition (measurably ~25–30% slower dispatch), so compression
-    /// only pays off where the dense table is genuinely large: dense
-    /// tables within [`DENSE_CELL_BUDGET`] cells stay dense, bigger
-    /// ones take row displacement when it saves at least a quarter of
-    /// the cells.
+    /// Lowers `dfa` to the dense `state × class` table against the
+    /// grammar's class partition.
     pub fn lower(dfa: &LookaheadDfa, classes: &TokenClasses) -> CompiledDfa {
-        let dense = Self::lower_dense(dfa, classes);
-        if dense.table_cells() <= DENSE_CELL_BUDGET {
-            return dense;
-        }
-        let displaced = Self::lower_row_displaced(dfa, classes);
-        if displaced.table_cells() * 4 <= dense.table_cells() * 3 {
-            displaced
-        } else {
-            dense
-        }
-    }
-
-    /// Lowers `dfa` to the dense `state × class` representation.
-    pub fn lower_dense(dfa: &LookaheadDfa, classes: &TokenClasses) -> CompiledDfa {
         let nc = classes.num_classes();
-        let mut next = vec![NO_TARGET; dfa.states.len() * nc];
+        let n = dfa.states.len();
+        let mut next = vec![NO_TARGET; n * nc];
+        let mut accept = Vec::with_capacity(n);
+        let mut default_alt = Vec::with_capacity(n);
+        let mut pred_range = Vec::with_capacity(n);
+        let mut preds = Vec::new();
         for (s, st) in dfa.states.iter().enumerate() {
             for &(t, target) in &st.edges {
                 let cell = &mut next[s * nc + classes.class_of(t)];
@@ -221,108 +177,19 @@ impl CompiledDfa {
                 );
                 *cell = target as u32;
             }
-        }
-        Self::with_side_tables(dfa, nc, NextTable::Dense(next))
-    }
-
-    /// Lowers `dfa` to the row-displacement compressed representation:
-    /// first-fit placement of rows (densest first) into a shared slot
-    /// array, deterministic for a given DFA and partition.
-    pub fn lower_row_displaced(dfa: &LookaheadDfa, classes: &TokenClasses) -> CompiledDfa {
-        let nc = classes.num_classes();
-        let n = dfa.states.len();
-        // Per-state occupied cells, deduped by class.
-        let mut rows: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
-        for (s, st) in dfa.states.iter().enumerate() {
-            for &(t, target) in &st.edges {
-                let class = classes.class_of(t);
-                if !rows[s].iter().any(|&(c, _)| c == class) {
-                    rows[s].push((class, target as u32));
-                }
-            }
-            rows[s].sort_unstable();
-        }
-        // Place densest rows first (classic displacement heuristic), ties
-        // by state id so placement is deterministic.
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| rows[b].len().cmp(&rows[a].len()).then(a.cmp(&b)));
-        let mut base = vec![0u32; n];
-        let mut check: Vec<u32> = Vec::new();
-        let mut next: Vec<u32> = Vec::new();
-        for &s in &order {
-            if rows[s].is_empty() {
-                // Empty rows can share offset 0: `check` never names them,
-                // so every probe misses, as it should.
-                base[s] = 0;
-                continue;
-            }
-            let mut offset = 0usize;
-            'probe: loop {
-                for &(c, _) in &rows[s] {
-                    if let Some(&owner) = check.get(offset + c) {
-                        if owner != NO_TARGET {
-                            offset += 1;
-                            continue 'probe;
-                        }
-                    }
-                }
-                break;
-            }
-            let top = offset + rows[s].last().expect("non-empty row").0 + 1;
-            if check.len() < top {
-                check.resize(top, NO_TARGET);
-                next.resize(top, NO_TARGET);
-            }
-            for &(c, target) in &rows[s] {
-                check[offset + c] = s as u32;
-                next[offset + c] = target;
-            }
-            base[s] = offset as u32;
-        }
-        // Pad so `base[s] + class` is always in bounds.
-        let reach = base.iter().map(|&b| b as usize + nc).max().unwrap_or(nc);
-        check.resize(reach, NO_TARGET);
-        next.resize(reach, NO_TARGET);
-        Self::with_side_tables(dfa, nc, NextTable::RowDisplaced { base, check, next })
-    }
-
-    fn with_side_tables(dfa: &LookaheadDfa, nc: usize, table: NextTable) -> CompiledDfa {
-        let mut accept = Vec::with_capacity(dfa.states.len());
-        let mut default_alt = Vec::with_capacity(dfa.states.len());
-        let mut pred_range = Vec::with_capacity(dfa.states.len());
-        let mut preds = Vec::new();
-        for st in &dfa.states {
             accept.push(st.accept.unwrap_or(NO_ALT));
             default_alt.push(st.default_alt.unwrap_or(NO_ALT));
             let start = preds.len() as u32;
             preds.extend_from_slice(&st.preds);
             pred_range.push((start, preds.len() as u32));
         }
-        CompiledDfa {
-            num_states: dfa.states.len(),
-            num_classes: nc,
-            table,
-            accept,
-            default_alt,
-            pred_range,
-            preds,
-        }
+        CompiledDfa { num_states: n, num_classes: nc, next, accept, default_alt, pred_range, preds }
     }
 
     /// The transition target from `state` on `class`, or [`NO_TARGET`].
     #[inline]
     pub fn next(&self, state: usize, class: usize) -> u32 {
-        match &self.table {
-            NextTable::Dense(next) => next[state * self.num_classes + class],
-            NextTable::RowDisplaced { base, check, next } => {
-                let slot = base[state] as usize + class;
-                if check[slot] == state as u32 {
-                    next[slot]
-                } else {
-                    NO_TARGET
-                }
-            }
-        }
+        self.next[state * self.num_classes + class]
     }
 
     /// The accept alternative of `state`, if it is an accept state.
@@ -350,24 +217,10 @@ impl CompiledDfa {
         &self.preds[lo as usize..hi as usize]
     }
 
-    /// Whether the row-displacement representation was chosen.
-    pub fn is_row_displaced(&self) -> bool {
-        matches!(self.table, NextTable::RowDisplaced { .. })
-    }
-
-    /// Number of `u32` cells in the transition table (the quantity the
-    /// dense/displaced choice weighs).
-    pub fn table_cells(&self) -> usize {
-        match &self.table {
-            NextTable::Dense(next) => next.len(),
-            NextTable::RowDisplaced { base, check, next } => base.len() + check.len() + next.len(),
-        }
-    }
-
     /// Approximate memory footprint of all tables, in bytes (transition
     /// cells at 4 bytes, accept/default at 2, predicates at 8).
     pub fn table_bytes(&self) -> usize {
-        self.table_cells() * 4
+        self.next.len() * 4
             + self.accept.len() * 2
             + self.default_alt.len() * 2
             + self.pred_range.len() * 8
@@ -428,12 +281,12 @@ impl CompiledTables {
         &self.dfas
     }
 
-    /// `(dense, row-displaced, total table bytes)` across all decisions,
-    /// for `llstar check -v` and the bench reports.
+    /// `(lowered decisions, token classes, total table bytes)`, for
+    /// `llstar check -v` and the bench reports; all zero when disabled.
     pub fn summary(&self) -> (usize, usize, usize) {
-        let displaced = self.dfas.iter().filter(|d| d.is_row_displaced()).count();
+        let classes = self.classes.as_ref().map_or(0, TokenClasses::num_classes);
         let bytes = self.dfas.iter().map(|d| d.table_bytes()).sum();
-        (self.dfas.len() - displaced, displaced, bytes)
+        (self.dfas.len(), classes, bytes)
     }
 }
 
@@ -481,26 +334,11 @@ mod tests {
     fn dense_lowering_matches_linear_scan() {
         let dfa = chain_dfa();
         let classes = TokenClasses::compute(6, std::iter::once(&dfa)).unwrap();
-        let compiled = CompiledDfa::lower_dense(&dfa, &classes);
+        let compiled = CompiledDfa::lower(&dfa, &classes);
         for (s, st) in dfa.states.iter().enumerate() {
             assert_eq!(compiled.accept_alt(s), st.accept);
             assert_eq!(compiled.default_of(s), st.default_alt);
             assert_eq!(compiled.preds_of(s), st.preds.as_slice());
-            for t in 0..6u32 {
-                let token = TokenType(t);
-                let linear = st.target(token).map(|x| x as u32).unwrap_or(NO_TARGET);
-                assert_eq!(compiled.next(s, classes.class_of(token)), linear, "s{s} t{t}");
-            }
-        }
-    }
-
-    #[test]
-    fn row_displaced_lowering_matches_linear_scan() {
-        let dfa = chain_dfa();
-        let classes = TokenClasses::compute(6, std::iter::once(&dfa)).unwrap();
-        let compiled = CompiledDfa::lower_row_displaced(&dfa, &classes);
-        assert!(compiled.is_row_displaced());
-        for (s, st) in dfa.states.iter().enumerate() {
             for t in 0..6u32 {
                 let token = TokenType(t);
                 let linear = st.target(token).map(|x| x as u32).unwrap_or(NO_TARGET);
@@ -520,44 +358,6 @@ mod tests {
         assert_eq!(compiled.preds_of(0), &[]);
         assert_eq!(compiled.preds_of(1), dfa.states[1].preds.as_slice());
         assert_eq!(compiled.default_of(1), Some(3));
-    }
-
-    #[test]
-    fn sparse_wide_dfas_choose_row_displacement() {
-        // 128 states, 200-token vocabulary, one edge per state on its
-        // own token: maximally sparse, with a dense table well past the
-        // cell budget, so displaced rows overlay heavily.
-        let mut dfa = LookaheadDfa::new(DecisionId(0));
-        dfa.states.resize_with(128, DfaState::default);
-        for s in 0..127 {
-            dfa.states[s].edges.push((TokenType(s as u32 + 1), s + 1));
-        }
-        dfa.states[127].accept = Some(1);
-        let classes = TokenClasses::compute(200, std::iter::once(&dfa)).unwrap();
-        let dense = CompiledDfa::lower_dense(&dfa, &classes);
-        assert!(dense.table_cells() > DENSE_CELL_BUDGET, "test DFA must exceed the budget");
-        let compiled = CompiledDfa::lower(&dfa, &classes);
-        assert!(compiled.is_row_displaced(), "sparse table should compress");
-        assert!(compiled.table_cells() * 4 <= dense.table_cells() * 3);
-        // Behaviour still matches.
-        for (s, st) in dfa.states.iter().enumerate() {
-            for t in 0..200u32 {
-                let token = TokenType(t);
-                let linear = st.target(token).map(|x| x as u32).unwrap_or(NO_TARGET);
-                assert_eq!(compiled.next(s, classes.class_of(token)), linear, "s{s} t{t}");
-            }
-        }
-    }
-
-    #[test]
-    fn small_dense_tables_skip_displacement() {
-        // The chain DFA compresses well, but its dense table is tiny —
-        // within the budget the faster dense dispatch must win.
-        let dfa = chain_dfa();
-        let classes = TokenClasses::compute(6, std::iter::once(&dfa)).unwrap();
-        let compiled = CompiledDfa::lower(&dfa, &classes);
-        assert!(compiled.table_cells() <= DENSE_CELL_BUDGET);
-        assert!(!compiled.is_row_displaced(), "small tables stay dense");
     }
 
     #[test]
@@ -589,14 +389,13 @@ mod tests {
         let (_, cb) = tables.get(1).unwrap();
         assert_eq!(cb.accept_alt(0), Some(1));
         assert!(tables.get(2).is_none());
-        let (dense, displaced, bytes) = tables.summary();
-        assert_eq!(dense + displaced, 2);
+        let (lowered, classes, bytes) = tables.summary();
+        assert_eq!((lowered, classes), (2, 4));
         assert!(bytes > 0);
     }
 
     // -----------------------------------------------------------------
-    // Boundary regressions: the exact edges of the class-count limit,
-    // the dense-cell budget, and the ≥¼-saving displacement policy.
+    // Boundary regressions: the exact edges of the class-count limit.
     // -----------------------------------------------------------------
 
     /// A hub DFA whose start state fans out on tokens `1..=k`, each to a
@@ -640,61 +439,5 @@ mod tests {
         let dfa = fanout_dfa(256);
         assert!(TokenClasses::compute(257, std::iter::once(&dfa)).is_none());
         assert!(!CompiledTables::lower(257, std::iter::once(&dfa)).enabled());
-    }
-
-    /// An `n`-state DFA whose first `k` states each carry a single edge
-    /// on token 1 (all to the same accept state): exactly 2 token
-    /// classes, so the dense table has `2n` cells, and row displacement
-    /// packs the `k` one-cell rows into `base(n) + 2 × (k + 1)` cells.
-    fn single_edge_dfa(n: usize, k: usize) -> LookaheadDfa {
-        assert!(k < n);
-        let mut dfa = LookaheadDfa::new(DecisionId(0));
-        dfa.states.resize_with(n, DfaState::default);
-        for s in 0..k {
-            dfa.states[s].edges.push((TokenType(1), n - 1));
-        }
-        dfa.states[n - 1].accept = Some(1);
-        dfa
-    }
-
-    #[test]
-    fn dense_table_exactly_at_budget_stays_dense() {
-        // 2048 states × 2 classes = 4096 cells = DENSE_CELL_BUDGET. The
-        // budget check is inclusive: exactly-at-budget tables stay dense
-        // even though displacement would save far more than a quarter.
-        let dfa = single_edge_dfa(2048, 40);
-        let classes = TokenClasses::compute(2, std::iter::once(&dfa)).unwrap();
-        assert_eq!(classes.num_classes(), 2);
-        let compiled = CompiledDfa::lower(&dfa, &classes);
-        assert_eq!(compiled.table_cells(), DENSE_CELL_BUDGET);
-        assert!(!compiled.is_row_displaced(), "at-budget tables must stay dense");
-        // One more state crosses the budget, and the (now considered)
-        // displaced form easily clears the ¼ saving.
-        let dfa = single_edge_dfa(2049, 40);
-        let compiled = CompiledDfa::lower(&dfa, &classes);
-        assert!(compiled.is_row_displaced(), "one cell past the budget must compress");
-    }
-
-    #[test]
-    fn quarter_saving_tie_takes_displacement() {
-        // Tie algebra: dense = 2n cells, displaced = n + 2(k + 1) cells,
-        // so "displaced × 4 == dense × 3" exactly when n = 4k + 4. With
-        // k = 600, n = 2404: dense = 4808 (over budget), displaced =
-        // 3606, and 3606 × 4 == 4808 × 3 == 14424 — the policy's `<=`
-        // must take displacement when the saving is exactly a quarter.
-        let (k, n) = (600, 2404);
-        let dfa = single_edge_dfa(n, k);
-        let classes = TokenClasses::compute(2, std::iter::once(&dfa)).unwrap();
-        let dense = CompiledDfa::lower_dense(&dfa, &classes);
-        let displaced = CompiledDfa::lower_row_displaced(&dfa, &classes);
-        assert_eq!(dense.table_cells(), 2 * n);
-        assert_eq!(displaced.table_cells(), n + 2 * (k + 1));
-        assert_eq!(displaced.table_cells() * 4, dense.table_cells() * 3, "tie as constructed");
-        assert!(CompiledDfa::lower(&dfa, &classes).is_row_displaced());
-        // One more occupied row breaks the tie the other way: the saving
-        // is now under a quarter, so the faster dense dispatch wins.
-        let dfa = single_edge_dfa(n, k + 1);
-        let classes = TokenClasses::compute(2, std::iter::once(&dfa)).unwrap();
-        assert!(!CompiledDfa::lower(&dfa, &classes).is_row_displaced());
     }
 }

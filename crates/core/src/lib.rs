@@ -55,9 +55,7 @@ pub use atn::{Atn, AtnEdge, AtnState, AtnStateId, Decision, DecisionId, Decision
 pub use cache::{
     analyze_cached, analyze_cached_metered, analyze_cached_with, cache_path, CacheMiss, CacheStatus,
 };
-pub use compiled::{
-    CompiledDfa, CompiledTables, NextTable, TokenClasses, DENSE_CELL_BUDGET, NO_ALT, NO_TARGET,
-};
+pub use compiled::{CompiledDfa, CompiledTables, TokenClasses, NO_ALT, NO_TARGET};
 pub use config::{Config, PredSource, StackArena, StackId};
 pub use coverage::{CoverageMap, DecisionCoverage};
 pub use dfa::{DecisionClass, DfaState, DfaStateId, LookaheadDfa};

@@ -540,7 +540,7 @@ mod tests {
         assert_eq!(a.tables.dfas().len(), b.tables.dfas().len());
         for (ta, tb) in a.tables.dfas().iter().zip(b.tables.dfas()) {
             assert_eq!(ta.num_states, tb.num_states);
-            assert_eq!(ta.table, tb.table);
+            assert_eq!(ta.next, tb.next);
             assert_eq!(ta.accept, tb.accept);
             assert_eq!(ta.default_alt, tb.default_alt);
             assert_eq!(ta.preds, tb.preds);

@@ -42,5 +42,5 @@ pub use regex::{Rx, RxParseError};
 pub use scanner::{
     scanner_from_patterns, LexBuildError, LexError, LexPath, LexRule, LexerSpec, Scanner,
 };
-pub use tables::{ScanNext, ScannerTables};
+pub use tables::ScannerTables;
 pub use token::{Span, Token, TokenType};

@@ -19,7 +19,7 @@ use std::fmt;
 pub enum LexPath {
     /// Char-at-a-time [`ScannerDfa`] simulation (always available).
     Scalar,
-    /// Byte-class + dense/displaced table walk ([`ScannerTables`]).
+    /// Byte-class + dense table walk ([`ScannerTables`]).
     Table,
 }
 

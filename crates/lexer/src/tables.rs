@@ -11,12 +11,9 @@
 //!    range list. A synthetic *dead class* (id = original class count)
 //!    absorbs every unmapped byte, so the hot loop never branches on
 //!    "no class" — the dead class simply has no transition anywhere.
-//! 2. **Next table.** `next[state * num_classes + class]` as `u16`, either
-//!    dense or row-displacement compressed. The dense/displaced policy
-//!    *mirrors* `llstar_core::compiled` (same [`DENSE_CELL_BUDGET`], same
-//!    quarter-saving threshold, same densest-first first-fit placement);
-//!    the constants are duplicated here because `core` depends on this
-//!    crate, not the other way around — keep the two in sync.
+//! 2. **Next table.** A dense `next[state * num_classes + class]` as
+//!    `u16`: one indexed load per input byte. The largest scanner among
+//!    the repository's grammars (java8) is 19,337 cells, under 40 KiB.
 //!
 //! Lowering is refused (returns `None`) when the automaton outgrows the
 //! fixed-width encodings: more than [`MAX_CLASSES`] character classes
@@ -26,7 +23,7 @@
 
 use crate::dfa::ScannerDfa;
 
-/// "No transition" sentinel in the next/check tables.
+/// "No transition" sentinel in the next table.
 pub const NO_STATE: u16 = u16::MAX;
 /// "Not an accept state" sentinel in the accept table.
 pub const NO_RULE: u16 = u16::MAX;
@@ -34,27 +31,6 @@ pub const NO_RULE: u16 = u16::MAX;
 /// synthetic dead class must fit in a `u8`, so 255 real classes is the
 /// ceiling and a 256-class automaton stays on the interpreted path.
 pub const MAX_CLASSES: usize = 255;
-/// Dense tables at most this many cells skip row displacement entirely
-/// (mirrors `llstar_core::compiled::DENSE_CELL_BUDGET`).
-pub const DENSE_CELL_BUDGET: usize = 4096;
-
-/// The transition table representation, chosen by [`ScannerTables::lower`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScanNext {
-    /// `next[state * num_classes + class]`, [`NO_STATE`]-filled.
-    Dense(Vec<u16>),
-    /// Tarjan/Yao row displacement: row `s` lives at `base[s]`, slot
-    /// ownership validated through `check`.
-    RowDisplaced {
-        /// Per-state row offset into `check`/`next`.
-        base: Vec<u32>,
-        /// Owning state per slot ([`NO_STATE`] = free).
-        check: Vec<u16>,
-        /// Transition target per slot.
-        next: Vec<u16>,
-    },
-}
-
 /// A [`ScannerDfa`] lowered to byte-indexed tables.
 #[derive(Debug, Clone)]
 pub struct ScannerTables {
@@ -66,7 +42,8 @@ pub struct ScannerTables {
     /// Sorted, disjoint `(lo, hi, class)` codepoint ranges for `char`s
     /// ≥ `0x80`; codepoints not found take the dead class.
     wide: Vec<(u32, u32, u8)>,
-    table: ScanNext,
+    /// `next[state * num_classes + class]`, [`NO_STATE`]-filled.
+    next: Vec<u16>,
     /// Accepted rule per state ([`NO_RULE`] = none).
     accept: Vec<u16>,
 }
@@ -99,105 +76,22 @@ impl ScannerTables {
         wide.sort_unstable();
 
         let n = dfa.states.len();
-        let table = Self::choose_table(dfa, n, nc);
-        let accept: Vec<u16> =
-            dfa.states.iter().map(|s| s.accept.map_or(NO_RULE, |r| r as u16)).collect();
-
-        Some(ScannerTables { num_states: n, num_classes: nc, ascii_class, wide, table, accept })
-    }
-
-    /// Dense within budget, else row displacement when it saves ≥ ¼ of the
-    /// cells — the `core::compiled` policy verbatim.
-    fn choose_table(dfa: &ScannerDfa, n: usize, nc: usize) -> ScanNext {
-        let dense = Self::lower_dense(dfa, n, nc);
-        let dense_cells = match &dense {
-            ScanNext::Dense(v) => v.len(),
-            ScanNext::RowDisplaced { .. } => unreachable!("lower_dense is dense"),
-        };
-        if dense_cells <= DENSE_CELL_BUDGET {
-            return dense;
-        }
-        let displaced = Self::lower_row_displaced(dfa, n, nc);
-        let displaced_cells = match &displaced {
-            ScanNext::Dense(_) => unreachable!("lower_row_displaced is displaced"),
-            ScanNext::RowDisplaced { base, check, next } => base.len() + check.len() + next.len(),
-        };
-        if displaced_cells * 4 <= dense_cells * 3 {
-            displaced
-        } else {
-            dense
-        }
-    }
-
-    fn lower_dense(dfa: &ScannerDfa, n: usize, nc: usize) -> ScanNext {
         let mut next = vec![NO_STATE; n * nc];
         for (s, st) in dfa.states.iter().enumerate() {
             for &(class, target) in &st.transitions {
                 next[s * nc + class] = target as u16;
             }
         }
-        ScanNext::Dense(next)
-    }
+        let accept: Vec<u16> =
+            dfa.states.iter().map(|s| s.accept.map_or(NO_RULE, |r| r as u16)).collect();
 
-    /// First-fit placement, densest rows first, ties by state id; empty
-    /// rows share offset 0 (`check` never names them, so probes miss).
-    fn lower_row_displaced(dfa: &ScannerDfa, n: usize, nc: usize) -> ScanNext {
-        let rows: Vec<&[(usize, usize)]> =
-            dfa.states.iter().map(|st| st.transitions.as_slice()).collect();
-        let mut order: Vec<usize> = (0..n).collect();
-        order.sort_by(|&a, &b| rows[b].len().cmp(&rows[a].len()).then(a.cmp(&b)));
-        let mut base = vec![0u32; n];
-        let mut check: Vec<u16> = Vec::new();
-        let mut next: Vec<u16> = Vec::new();
-        for &s in &order {
-            if rows[s].is_empty() {
-                base[s] = 0;
-                continue;
-            }
-            let mut offset = 0usize;
-            'probe: loop {
-                for &(c, _) in rows[s] {
-                    if let Some(&owner) = check.get(offset + c) {
-                        if owner != NO_STATE {
-                            offset += 1;
-                            continue 'probe;
-                        }
-                    }
-                }
-                break;
-            }
-            let top = offset + rows[s].last().expect("non-empty row").0 + 1;
-            if check.len() < top {
-                check.resize(top, NO_STATE);
-                next.resize(top, NO_STATE);
-            }
-            for &(c, target) in rows[s] {
-                check[offset + c] = s as u16;
-                next[offset + c] = target as u16;
-            }
-            base[s] = offset as u32;
-        }
-        // Pad so `base[s] + class` is always in bounds.
-        let reach = base.iter().map(|&b| b as usize + nc).max().unwrap_or(nc);
-        check.resize(reach, NO_STATE);
-        next.resize(reach, NO_STATE);
-        ScanNext::RowDisplaced { base, check, next }
+        Some(ScannerTables { num_states: n, num_classes: nc, ascii_class, wide, next, accept })
     }
 
     /// The transition target from `state` on `class`, or [`NO_STATE`].
     #[inline]
     pub fn next(&self, state: usize, class: usize) -> u16 {
-        match &self.table {
-            ScanNext::Dense(next) => next[state * self.num_classes + class],
-            ScanNext::RowDisplaced { base, check, next } => {
-                let slot = base[state] as usize + class;
-                if check[slot] == state as u16 {
-                    next[slot]
-                } else {
-                    NO_STATE
-                }
-            }
-        }
+        self.next[state * self.num_classes + class]
     }
 
     /// Class of an ASCII byte (`b < 0x80`).
@@ -272,22 +166,14 @@ impl ScannerTables {
         &self.wide
     }
 
-    /// The transition table representation.
-    pub fn next_table(&self) -> &ScanNext {
-        &self.table
+    /// The dense transition table, `next[state * num_classes + class]`.
+    pub fn next_table(&self) -> &[u16] {
+        &self.next
     }
 
     /// Accepted rule per state ([`NO_RULE`] = none).
     pub fn accept_table(&self) -> &[u16] {
         &self.accept
-    }
-
-    /// Total table cells, for size accounting and the dense/displaced tests.
-    pub fn table_cells(&self) -> usize {
-        match &self.table {
-            ScanNext::Dense(next) => next.len(),
-            ScanNext::RowDisplaced { base, check, next } => base.len() + check.len() + next.len(),
-        }
     }
 }
 
@@ -357,36 +243,6 @@ mod tests {
         let dfa = ScannerDfa::from_nfa(&nfa);
         assert_eq!(dfa.classes.len(), 256);
         assert!(ScannerTables::lower(&dfa).is_none(), "256 classes leave no room for the sentinel");
-    }
-
-    #[test]
-    fn dense_within_budget_stays_dense() {
-        let dfa = dfa_of(&["[a-z]+", "[0-9]+"]);
-        let tables = ScannerTables::lower(&dfa).unwrap();
-        assert!(tables.table_cells() <= DENSE_CELL_BUDGET);
-        assert!(matches!(tables.next_table(), ScanNext::Dense(_)));
-    }
-
-    #[test]
-    fn sparse_over_budget_takes_displacement() {
-        // Many keyword literals over a broad alphabet: long spine of
-        // single-transition states → dense blows the budget, displacement
-        // packs the sparse rows.
-        let words: Vec<String> = (0..40)
-            .map(|i| format!("'{}k{}w{}'", (b'a' + (i % 26)) as char, i, (b'a' + (i % 7)) as char))
-            .collect();
-        let patterns: Vec<&str> = words.iter().map(|s| s.as_str()).collect();
-        let dfa = dfa_of(&patterns);
-        let tables = ScannerTables::lower(&dfa).unwrap();
-        let dense_cells = dfa.states.len() * (dfa.classes.len() + 1);
-        assert!(dense_cells > DENSE_CELL_BUDGET, "test premise: dense over budget");
-        assert!(
-            matches!(tables.next_table(), ScanNext::RowDisplaced { .. }),
-            "sparse keyword automaton should displace ({} dense cells, {} used)",
-            dense_cells,
-            tables.table_cells()
-        );
-        assert_equivalent(&dfa, &tables, "ak0wa bk1wb junk");
     }
 
     /// Random rule sets: the lowered tables must agree with the DFA on

@@ -193,11 +193,6 @@ pub struct Parser<'g, H: Hooks> {
     /// was called; timing never enters the trace stream or coverage
     /// maps, which must stay byte-deterministic.
     timing: Option<Vec<u64>>,
-    /// Predict through the analysis's compiled tables (dense/row-displaced
-    /// dispatch) instead of scanning `DfaState::edges`. On by default;
-    /// both paths are byte-identical (see `tests/prediction_parity`), and
-    /// the linear path remains as the fallback when tables are disabled.
-    compiled_dispatch: bool,
     /// The always-on metric counters (lookahead depth, backtrack,
     /// memo traffic, tokens/parse). Unlike the trace pipeline this has
     /// no sink indirection and no per-event values — each record site
@@ -254,7 +249,6 @@ impl<'g, H: Hooks> Parser<'g, H> {
             recovery: None,
             follow_stack: Vec::new(),
             timing: None,
-            compiled_dispatch: true,
             metrics: ParseMetrics::new(decision_count),
             fuel_used: 0,
             fuel_limit: u64::MAX,
@@ -267,8 +261,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// Rearms the parser for a fresh parse over `tokens`: clears all
     /// per-parse state (metrics, recovery tally, memo tables, speculation
     /// depth, recorded errors, resync stack, decision timing) while keeping the grammar,
-    /// analysis, hooks, trace sink, and configuration — dispatch mode,
-    /// memoization, recovery strategy and error cap — exactly as set.
+    /// analysis, hooks, trace sink, and configuration — memoization,
+    /// recovery strategy and error cap — exactly as set.
     /// Memo-table row allocations stay warm, so a long-lived parser
     /// re-parses many inputs without reallocating its tables. This is
     /// the re-entrant entry point [`crate::ParseSession`], the gauntlet
@@ -352,13 +346,6 @@ impl<'g, H: Hooks> Parser<'g, H> {
         };
         self.exhausted = Some(err.clone());
         err
-    }
-
-    /// Selects the prediction dispatch: compiled tables (default) or the
-    /// linear edge scan. Exposed so the parity suite can run both paths;
-    /// output is byte-identical either way.
-    pub fn set_compiled_dispatch(&mut self, compiled: bool) {
-        self.compiled_dispatch = compiled;
     }
 
     /// Starts accumulating per-decision prediction wall-clock, readable
@@ -927,20 +914,22 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// Predicts an alternative at a decision by simulating its lookahead
     /// DFA over the remaining input (Figure 5).
     ///
-    /// Dispatch normally runs through the grammar's [`CompiledTables`]
-    /// (class-mapped array indexing); the linear `DfaState::target` scan
-    /// remains both as the fallback when lowering is disabled and as the
-    /// parity baseline. The two paths visit the same states in the same
-    /// order and emit the same events, byte for byte.
+    /// Dispatch runs through the analysis's [`CompiledTables`]
+    /// (class-mapped array indexing) whenever they are enabled, and
+    /// otherwise walks `DfaState::target`: grammars over 256 token
+    /// classes always do, and the parity tests reach it through an
+    /// analysis whose `tables` is [`CompiledTables::disabled`]. The two
+    /// paths visit the same states in the same order and emit the same
+    /// events, byte for byte.
     ///
     /// [`CompiledTables`]: llstar_core::CompiledTables
+    /// [`CompiledTables::disabled`]: llstar_core::CompiledTables::disabled
     fn predict(&mut self, decision: DecisionId) -> Result<u16, ParseError> {
         // `self.analysis` is a `&'g` field; copying it out unties the
         // table borrows from `&mut self`.
         let analysis = self.analysis;
         let dfa = &analysis.decisions[decision.index()].dfa;
-        let compiled =
-            if self.compiled_dispatch { analysis.tables.get(decision.index()) } else { None };
+        let compiled = analysis.tables.get(decision.index());
         let start_index = self.tokens.index();
         // The DFA path is only materialized when a sink is listening; the
         // span recorder doesn't need it.
@@ -1361,7 +1350,15 @@ impl<'g, H: Hooks> Parser<'g, H> {
     }
 
     /// Evaluates a syntactic predicate by speculative parse; returns
-    /// `(matched, tokens consumed)`. Rewinds the stream.
+    /// `(matched, speculation depth)`. Rewinds the stream.
+    ///
+    /// The depth is the matched width, and 0 for a failure: where a
+    /// failed speculation stops depends on inner memo state (a rule-memo
+    /// failure hit returns at its start token, computing the same failure
+    /// stops where the error was raised), so counting it would make
+    /// `spec_sum` and the recorded lookahead differ with memoization on
+    /// and off. The trace's `BacktrackExit.consumed` still reports where
+    /// the speculation stopped.
     fn eval_synpred(&mut self, sp: SynPredId) -> (bool, u64) {
         let start = self.tokens.index();
         if self.memoize {
@@ -1409,7 +1406,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
             consumed,
             nesting,
         });
-        (result.is_ok(), consumed)
+        let ok = result.is_ok();
+        (ok, if ok { consumed } else { 0 })
     }
 }
 
@@ -1660,6 +1658,42 @@ mod tests {
             ParseTree::Rule { alt, .. } => assert_eq!(alt, 2),
             _ => unreachable!(),
         }
+    }
+
+    /// A failed speculation adds nothing to the speculation depth,
+    /// whether it was computed or read back from the memo. `r` is entered
+    /// twice at one position (its first call takes the empty
+    /// alternative), so both of its predictions evaluate the same failing
+    /// synpred there, and with memoization on the second one is a memo
+    /// hit.
+    #[test]
+    fn failed_speculation_depth_is_the_same_with_and_without_memo() {
+        let src = r#"
+            grammar M;
+            options { m = 1; }
+            s : r r e C ;
+            r : (e B)=> e B | ;
+            e : A e | A ;
+            A : 'a' ; B : 'b' ; C : 'c' ;
+            WS : [ ]+ -> skip ;
+        "#;
+        let (g, a) = setup(src);
+        let r = g.rule_id("r").unwrap();
+        let d = a.atn.decisions.iter().find(|d| d.rule == r && !d.synthetic).unwrap().id;
+        let scanner = g.lexer.build().unwrap();
+        let run = |memoize: bool| {
+            let tokens = TokenStream::new(scanner.tokenize("a a a c").unwrap());
+            let mut parser = Parser::new(&g, &a, tokens, NopHooks);
+            parser.set_memoize(memoize);
+            parser.parse_to_eof("s").unwrap();
+            let stats = parser.stats();
+            (stats.decision(d).clone(), stats.memo_hits)
+        };
+        let ((memo, hits), (plain, _)) = (run(true), run(false));
+        assert!(hits > 0, "the second prediction must hit the synpred memo");
+        assert_eq!((memo.events, memo.backtracks), (2, 2), "{memo:?}");
+        assert_eq!(memo.spec_sum, 0, "a failed speculation has depth 0");
+        assert_eq!(memo, plain, "memoization changed the recorded depths");
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Re-entrant parse sessions: build the scanner and parser once, then
 //! parse many inputs back to back. [`ParseSession`] keeps the lexer
 //! DFA, the parser's memo-table allocations, and all configuration
-//! (dispatch mode, memoization, recovery, trace sink) warm across
+//! (memoization, recovery, trace sink) warm across
 //! inputs via [`Parser::reset`] — the entry point the gauntlet's
 //! differential oracle and the bench harness drive when they walk a
 //! corpus through one engine configuration.
@@ -112,8 +112,8 @@ impl<'g, H: Hooks> ParseSession<'g, H> {
         result
     }
 
-    /// The underlying parser, for configuration (dispatch mode,
-    /// memoization, recovery, trace sink) and post-parse inspection.
+    /// The underlying parser, for configuration (memoization, recovery,
+    /// trace sink) and post-parse inspection.
     pub fn parser(&mut self) -> &mut Parser<'g, H> {
         &mut self.parser
     }

@@ -17,9 +17,9 @@
 //!   or a trace sink is attached — enable with
 //!   [`Parser::enable_span_recording`], harvest with
 //!   [`Parser::span_tree`].
-//! * `llstar serve` keeps recent trees in a per-worker flight recorder
-//!   and persists a schema-versioned exemplar capture when a request
-//!   is slow, errors, or trips its budget.
+//! * `llstar serve` persists a schema-versioned exemplar capture of a
+//!   request's tree when the request is slow, errors, or trips its
+//!   budget.
 //! * `llstar spans` renders a tree as a text timeline/flamegraph or a
 //!   Chrome `trace_event` document ([`SpanTree::to_chrome_trace`]).
 //!

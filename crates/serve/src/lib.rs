@@ -122,10 +122,6 @@ pub struct ServeOptions {
     /// `Some` turns span recording on for every worker lane; `None`
     /// keeps the default zero-overhead path.
     pub capture_dir: Option<PathBuf>,
-    /// Per-worker flight-recorder depth: how many recent span trees each
-    /// worker retains in its ring (clamped to at least 1 when span
-    /// recording is on).
-    pub flight_recorder: usize,
 }
 
 impl ServeOptions {
@@ -147,7 +143,6 @@ impl Default for ServeOptions {
             max_errors: 10,
             slow_threshold_us: None,
             capture_dir: None,
-            flight_recorder: 16,
         }
     }
 }
@@ -251,66 +246,6 @@ impl CaptureReason {
             CaptureReason::Error => "error",
             CaptureReason::Slow => "slow",
         }
-    }
-}
-
-/// One retained request record in a worker's [`FlightRecorder`].
-#[derive(Debug, Clone)]
-pub struct FlightEntry {
-    /// The request's trace id (32 lowercase hex digits).
-    pub trace_id: String,
-    /// The grammar route key.
-    pub grammar: String,
-    /// Why the request was captured, if it was.
-    pub reason: Option<CaptureReason>,
-    /// The recorded span tree.
-    pub spans: SpanTree,
-}
-
-/// A bounded ring of the most recent span trees one worker produced.
-/// Each worker owns its recorder exclusively (no locks on the request
-/// path); the newest entry evicts the oldest once the ring is full.
-#[derive(Debug)]
-pub struct FlightRecorder {
-    capacity: usize,
-    seen: u64,
-    ring: VecDeque<FlightEntry>,
-}
-
-impl FlightRecorder {
-    /// An empty recorder retaining at most `capacity` entries
-    /// (clamped to at least 1).
-    pub fn new(capacity: usize) -> FlightRecorder {
-        FlightRecorder { capacity: capacity.max(1), seen: 0, ring: VecDeque::new() }
-    }
-
-    /// Records one request, evicting the oldest entry when full.
-    pub fn push(&mut self, entry: FlightEntry) {
-        self.seen += 1;
-        if self.ring.len() == self.capacity {
-            self.ring.pop_front();
-        }
-        self.ring.push_back(entry);
-    }
-
-    /// Entries currently retained (`<= capacity`).
-    pub fn len(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Whether the ring holds no entries yet.
-    pub fn is_empty(&self) -> bool {
-        self.ring.is_empty()
-    }
-
-    /// Total entries ever pushed (including evicted ones).
-    pub fn seen(&self) -> u64 {
-        self.seen
-    }
-
-    /// Retained entries, oldest first.
-    pub fn iter(&self) -> impl Iterator<Item = &FlightEntry> {
-        self.ring.iter()
     }
 }
 
@@ -856,10 +791,9 @@ fn worker_loop(shared: &Shared) {
             Lane { strict, recovering, handle, engine }
         })
         .collect();
-    let mut flight = FlightRecorder::new(opts.flight_recorder);
     while let Some(job) = shared.queue.pop() {
         let queue_us = job.queued_at.elapsed().as_micros() as u64;
-        let response = handle_request(shared, &mut lanes, &mut flight, job.request, queue_us);
+        let response = handle_request(shared, &mut lanes, job.request, queue_us);
         shared.completed.fetch_add(1, Ordering::Relaxed);
         let _ = job.done.send((job.tag, response));
     }
@@ -891,7 +825,6 @@ fn session_error_body(e: &SessionError) -> ServeBody {
 fn handle_request(
     shared: &Shared,
     lanes: &mut [Lane<'_>],
-    flight: &mut FlightRecorder,
     request: ServeRequest,
     queue_us: u64,
 ) -> ServeResponse {
@@ -986,7 +919,7 @@ fn handle_request(
         ServeMode::Coverage => coverage_body(shared, entry, lane, &request, started),
     };
     let parse_us = started.elapsed().as_micros() as u64;
-    maybe_capture(shared, lane, flight, &request, &trace_id, &body, spans, queue_us, parse_us);
+    maybe_capture(shared, lane, &request, &trace_id, &body, spans, queue_us, parse_us);
     ServeResponse { id: request.id, grammar: request.grammar, trace_id: Some(trace_id), body }
 }
 
@@ -1005,14 +938,13 @@ fn capture_reason(body: &ServeBody, parse_us: u64, slow: Option<u64>) -> Option<
     }
 }
 
-/// Feeds the flight recorder and, when a capture trigger fired,
-/// persists the exemplar capture and records it for the metrics
-/// exemplars. No-op (and no allocation) unless span recording is on.
+/// When a capture trigger fired, persists the exemplar capture and
+/// records it for the metrics exemplars. No-op (and no allocation)
+/// unless span recording is on.
 #[allow(clippy::too_many_arguments)]
 fn maybe_capture(
     shared: &Shared,
     lane: &Lane<'_>,
-    flight: &mut FlightRecorder,
     request: &ServeRequest,
     trace_id: &str,
     body: &ServeBody,
@@ -1023,19 +955,13 @@ fn maybe_capture(
     if !shared.opts.spans_enabled() {
         return;
     }
-    let reason = capture_reason(body, parse_us, shared.opts.slow_threshold_us);
+    let Some(reason) = capture_reason(body, parse_us, shared.opts.slow_threshold_us) else {
+        return;
+    };
     // Lex failures carry no tree (the parser never ran); an empty tree
     // keeps the capture format uniform.
     let spans = spans.unwrap_or_else(|| SpanTree::from_trace(&[]));
-    flight.push(FlightEntry {
-        trace_id: trace_id.to_string(),
-        grammar: request.grammar.clone(),
-        reason,
-        spans,
-    });
-    let Some(reason) = reason else { return };
-    let entry = flight.iter().last().expect("entry just pushed");
-    let path = persist_capture(shared, lane, request, trace_id, reason, entry, queue_us, parse_us);
+    let path = persist_capture(shared, lane, request, trace_id, reason, &spans, queue_us, parse_us);
     shared.captures.record(&lane.engine, reason, trace_id, path.as_deref(), parse_us);
 }
 
@@ -1051,7 +977,7 @@ fn persist_capture(
     request: &ServeRequest,
     trace_id: &str,
     reason: CaptureReason,
-    entry: &FlightEntry,
+    spans: &SpanTree,
     queue_us: u64,
     parse_us: u64,
 ) -> Option<PathBuf> {
@@ -1067,7 +993,7 @@ fn persist_capture(
         request.id,
         quote(request.mode.name()),
         quote(reason.name()),
-        entry.spans.to_json(),
+        spans.to_json(),
     ));
     doc.push_str(&format!(
         "{{\"type\":\"timing\",\"queue-micros\":{queue_us},\"parse-micros\":{parse_us},\"total-micros\":{}}}\n",
@@ -1329,34 +1255,6 @@ mod tests {
         assert!(jsonl.starts_with(&StreamKind::Metrics.header_line()));
         assert_eq!(llstar_runtime::parse_metrics_jsonl(&jsonl).expect("parses").len(), 1);
         server.shutdown();
-    }
-
-    #[test]
-    fn flight_recorder_ring_wraps_without_losing_count() {
-        let mut flight = FlightRecorder::new(3);
-        assert!(flight.is_empty());
-        for i in 0..10u64 {
-            flight.push(FlightEntry {
-                trace_id: format!("{i:032x}"),
-                grammar: "Demo".into(),
-                reason: None,
-                spans: SpanTree::from_trace(&[]),
-            });
-        }
-        assert_eq!(flight.len(), 3, "capacity bounds retention");
-        assert_eq!(flight.seen(), 10, "eviction must not forget the total");
-        let retained: Vec<&str> = flight.iter().map(|e| e.trace_id.as_str()).collect();
-        let expected: Vec<String> = (7..10).map(|i| format!("{i:032x}")).collect();
-        assert_eq!(retained, expected, "oldest-first, newest survive");
-        // A zero capacity clamps to 1 rather than panicking on push.
-        let mut tiny = FlightRecorder::new(0);
-        tiny.push(FlightEntry {
-            trace_id: "0".repeat(32),
-            grammar: "Demo".into(),
-            reason: Some(CaptureReason::Slow),
-            spans: SpanTree::from_trace(&[]),
-        });
-        assert_eq!(tiny.len(), 1);
     }
 
     #[test]

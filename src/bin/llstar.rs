@@ -107,9 +107,6 @@ struct Flags {
     /// `--capture-dir <dir>`: persist slow/error/budget exemplar
     /// captures here; also turns span recording on (`serve`).
     capture_dir: Option<PathBuf>,
-    /// `--flight-recorder N`: per-worker span-tree ring depth (`serve`,
-    /// default 16).
-    flight_recorder: Option<usize>,
     /// `--bench`: time every lexer path instead of tokenizing once
     /// (`lex`).
     bench: bool,
@@ -158,7 +155,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
         metrics_jsonl: None,
         slow_threshold_us: None,
         capture_dir: None,
-        flight_recorder: None,
         bench: false,
     };
     let mut positional = Vec::new();
@@ -256,11 +252,6 @@ fn split_flags(args: &[String]) -> Result<(Vec<String>, Flags), String> {
             "--capture-dir" => {
                 let dir = it.next().ok_or("--capture-dir needs a directory")?;
                 flags.capture_dir = Some(PathBuf::from(dir));
-            }
-            "--flight-recorder" => {
-                let n = it.next().ok_or("--flight-recorder needs a depth")?;
-                flags.flight_recorder =
-                    Some(n.parse().map_err(|_| format!("--flight-recorder: bad depth {n:?}"))?);
             }
             "--bench" => flags.bench = true,
             _ => positional.push(arg.clone()),
@@ -418,7 +409,6 @@ fn main() -> ExitCode {
                  --interval-ms N      metrics-jsonl rewrite period (default 1000)\n\
                  --capture-dir <d>    persist slow/error/budget span captures here\n\
                  --slow-threshold-us N  latency above this triggers a capture\n\
-                 --flight-recorder N  per-worker span-tree ring depth (default 16)\n\
                  \n\
                  spans flags (input = a serve capture or a trace/profile .jsonl):\n\
                  --top N              cap rendered timeline lines\n\
@@ -521,7 +511,6 @@ fn serve_cmd(args: &[String], flags: &Flags) -> Result<(), String> {
         max_errors: flags.max_errors.unwrap_or(defaults.max_errors),
         slow_threshold_us: flags.slow_threshold_us,
         capture_dir: flags.capture_dir.clone(),
-        flight_recorder: flags.flight_recorder.unwrap_or(defaults.flight_recorder),
     };
     // Bind before any thread starts, so a bad address fails fast.
     let listener = match &flags.http {
@@ -746,15 +735,11 @@ fn lex_cmd(
 
     match scanner.tables() {
         Some(t) => {
-            let shape = match t.next_table() {
-                llstar::lexer::ScanNext::Dense(_) => "dense",
-                llstar::lexer::ScanNext::RowDisplaced { .. } => "row-displaced",
-            };
             println!(
-                "scanner: {} states, {} byte classes, {shape} table ({} cells)",
+                "scanner: {} states, {} byte classes, dense table ({} cells)",
                 t.num_states(),
                 t.num_classes(),
-                t.table_cells()
+                t.next_table().len()
             );
         }
         None => println!(
@@ -1408,12 +1393,11 @@ fn report(grammar: &Grammar, analysis: &GrammarAnalysis) {
         }
     }
     println!("decision classes: {fixed} fixed LL(k), {cyclic} cyclic, {backtrack} backtracking");
-    if let Some(classes) = analysis.tables.classes() {
-        let (dense, displaced, bytes) = analysis.tables.summary();
+    if analysis.tables.enabled() {
+        let (decisions, classes, bytes) = analysis.tables.summary();
         println!(
-            "compiled tables: {} token classes; {dense} dense, {displaced} row-displaced \
-             ({bytes} bytes)",
-            classes.num_classes()
+            "compiled tables: {classes} token classes; {decisions} dense decision tables \
+             ({bytes} bytes)"
         );
     } else {
         println!("compiled tables: disabled (over 256 token classes); linear dispatch");

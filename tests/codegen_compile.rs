@@ -183,3 +183,35 @@ fn main() {
         assert_eq!(stdout, tree.token_count().to_string(), "seed {seed}: token counts differ");
     }
 }
+
+/// A grammar whose one `stmt` decision tells 300 keywords apart. Its
+/// token partition needs more than 256 classes, so no compiled tables
+/// are lowered, and the interpreter's linear `predict` walk and the
+/// generated parser's unrolled per-state `match` are the paths that run.
+fn keyword_grammar() -> String {
+    let alts: Vec<String> = (0..300).map(|i| format!("'kw{i}' ID ';'")).collect();
+    format!(
+        "grammar Keywords;\n\
+         prog : stmt+ ;\n\
+         stmt : {} | ID '=' INT ';' | ID ';' ;\n\
+         ID : [a-z]+ ;\n\
+         INT : [0-9]+ ;\n\
+         WS : [ \\t\\r\\n]+ -> skip ;\n",
+        alts.join(" | ")
+    )
+}
+
+#[test]
+fn grammar_over_256_token_classes_parses_without_tables() {
+    let src = keyword_grammar();
+    let g = apply_peg_mode(parse_grammar(&src).expect("grammar"));
+    let a = analyze(&g);
+    assert!(!a.tables.enabled(), "300 keywords must overflow the u8 class map");
+    let exe = build_generated("keywords", &src, DRIVER);
+    let input = "kw0 a ; kw299 b ; x = 1 ; kw150 c ; y ; kw7 d ;";
+    let (tree, _) = parse_text(&g, &a, input, "prog", NopHooks).expect("interpreter parses");
+    let (ok, sexpr) = run_generated(&exe, input);
+    assert!(ok, "{sexpr}");
+    assert_eq!(tree.to_sexpr(&g, input), sexpr, "generated tree differs from the interpreter's");
+    assert!(sexpr.contains("(stmt \"kw299\" \"b\" \";\")"), "{sexpr}");
+}

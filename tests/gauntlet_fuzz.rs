@@ -40,7 +40,8 @@ use std::process::Command;
 
 mod common;
 use common::{
-    compile_generated, delete_token, fingerprint, load_grammar_source, repo_path, HashWriter,
+    compile_generated, delete_token, fingerprint, linear, load_grammar_source, repo_path,
+    HashWriter,
 };
 
 const FUZZ_SEED: u64 = 0xF0225EED;
@@ -57,13 +58,7 @@ const BASE_BYTES: usize = 900;
 /// What one interpreter configuration said about an input: the verdict
 /// line (`OK <tree fingerprint>` or `ERR <error display>`) plus a
 /// fingerprint of the trace stream it emitted along the way.
-fn interp_verdict(
-    g: &Grammar,
-    a: &GrammarAnalysis,
-    start: &str,
-    text: &str,
-    compiled: bool,
-) -> (String, String) {
+fn interp_verdict(g: &Grammar, a: &GrammarAnalysis, start: &str, text: &str) -> (String, String) {
     let scanner = g.lexer.build().expect("lexer builds");
     let tokens = match scanner.tokenize(text) {
         Ok(t) => t,
@@ -71,7 +66,6 @@ fn interp_verdict(
     };
     let mut jsonl = JsonlSink::new(HashWriter::new());
     let mut parser = Parser::new(g, a, TokenStream::new(tokens), NopHooks);
-    parser.set_compiled_dispatch(compiled);
     parser.set_trace_sink(&mut jsonl);
     let verdict = match parser.parse_to_eof(start) {
         Ok(tree) => format!("OK {}", fingerprint(tree.to_sexpr(g, text).as_bytes())),
@@ -107,8 +101,8 @@ fn disagreement(
     scratch: &Path,
     text: &str,
 ) -> Result<(), String> {
-    let (lin, lin_trace) = interp_verdict(g, a, start, text, false);
-    let (com, com_trace) = interp_verdict(g, a, start, text, true);
+    let (lin, lin_trace) = interp_verdict(g, &linear(a), start, text);
+    let (com, com_trace) = interp_verdict(g, a, start, text);
     if lin != com {
         return Err(format!("dispatch verdicts differ: linear={lin} compiled={com}"));
     }
@@ -379,8 +373,8 @@ fn grammar_mutants_keep_dispatch_modes_identical() {
             // must reject identically.
             for seed in [3u64, 4] {
                 let text = (entry.generate)(400, FUZZ_SEED.wrapping_add(seed));
-                let (lin, lin_trace) = interp_verdict(&g, &a, start, &text, false);
-                let (com, com_trace) = interp_verdict(&g, &a, start, &text, true);
+                let (lin, lin_trace) = interp_verdict(&g, &linear(&a), start, &text);
+                let (com, com_trace) = interp_verdict(&g, &a, start, &text);
                 assert_eq!(lin, com, "{}: dispatch verdicts differ on mutant grammar", entry.name);
                 assert_eq!(
                     lin_trace, com_trace,
@@ -424,8 +418,8 @@ fn golden_corpus_replays() {
         let text = text.trim_end();
 
         // Dispatch modes agree on every golden.
-        let (lin, lin_trace) = interp_verdict(&g, &a, entry.start_rule, text, false);
-        let (com, com_trace) = interp_verdict(&g, &a, entry.start_rule, text, true);
+        let (lin, lin_trace) = interp_verdict(&g, &linear(&a), entry.start_rule, text);
+        let (com, com_trace) = interp_verdict(&g, &a, entry.start_rule, text);
         assert_eq!(lin, com, "{stem}: dispatch verdicts differ");
         assert_eq!(lin_trace, com_trace, "{stem}: dispatch traces differ");
 

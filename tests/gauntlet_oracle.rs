@@ -24,7 +24,7 @@ use std::path::PathBuf;
 use std::process::Command;
 
 mod common;
-use common::{compile_generated, fingerprint, load_grammar_source, oracle_interp_run};
+use common::{compile_generated, fingerprint, linear, load_grammar_source, oracle_interp_run};
 
 /// Fixed corpus seed: the oracle must be reproducible run to run.
 const ORACLE_SEED: u64 = 0x11_57a2_2011;
@@ -83,8 +83,8 @@ fn oracle(name: &str) {
 
     // Interpreter, linear vs compiled dispatch: trees, trace stream, and
     // coverage fold must all be byte-identical.
-    let linear = oracle_interp_run(&g, &a, start, &inputs, false, full);
-    let compiled = oracle_interp_run(&g, &a, start, &inputs, true, full);
+    let linear = oracle_interp_run(&g, &linear(&a), start, &inputs, full);
+    let compiled = oracle_interp_run(&g, &a, start, &inputs, full);
     for (i, (label, _)) in inputs.iter().enumerate() {
         assert_eq!(
             linear.trees[i], compiled.trees[i],

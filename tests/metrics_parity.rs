@@ -23,12 +23,7 @@ use common::{compile_generated, corpus_files, load_grammar, smoke_file, SUITE_ST
 /// Parses a corpus with fresh interpreter instances (one per file,
 /// matching the generated driver's lifecycle) and folds each parse's
 /// snapshot into one accumulated snapshot.
-fn interpreter_metrics(
-    g: &Grammar,
-    a: &GrammarAnalysis,
-    files: &[PathBuf],
-    compiled: bool,
-) -> String {
+fn interpreter_metrics(g: &Grammar, a: &GrammarAnalysis, files: &[PathBuf]) -> String {
     let start = g.start_rule().name.clone();
     let scanner = g.lexer.build().expect("lexer builds");
     let mut acc = MetricsSnapshot::empty(grammar_fingerprint(g));
@@ -36,7 +31,6 @@ fn interpreter_metrics(
         let input = std::fs::read_to_string(file).expect("corpus file readable");
         let tokens = scanner.tokenize(&input).expect("corpus input lexes");
         let mut parser = Parser::new(g, a, TokenStream::new(tokens), NopHooks);
-        parser.set_compiled_dispatch(compiled);
         parser
             .parse_to_eof(&start)
             .unwrap_or_else(|e| panic!("interpreter failed on {file:?}: {e}"));
@@ -119,8 +113,8 @@ fn metric_snapshots_are_byte_identical_across_engines() {
         );
 
         for files in [corpus_files(stem), vec![smoke_file(stem)]] {
-            let linear = interpreter_metrics(&g, &a, &files, false);
-            let compiled = interpreter_metrics(&g, &a, &files, true);
+            let linear = interpreter_metrics(&g, &common::linear(&a), &files);
+            let compiled = interpreter_metrics(&g, &a, &files);
             assert_eq!(
                 linear, compiled,
                 "{stem}: linear vs compiled dispatch metric snapshots diverged"
@@ -147,7 +141,7 @@ fn metrics_only_codegen_compiles_and_agrees() {
         CodegenOptions { metrics: true, ..Default::default() },
     );
     let files = corpus_files(stem);
-    let expected = interpreter_metrics(&g, &a, &files, false);
+    let expected = interpreter_metrics(&g, &common::linear(&a), &files);
     let got = generated_metrics(&exe, &files);
     assert_eq!(got, expected, "{stem}: metrics-only generated parser diverged");
 }

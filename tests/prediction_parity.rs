@@ -1,15 +1,16 @@
 //! Compiled-table prediction parity: routing the interpreter through the
-//! dense/row-displaced [`CompiledTables`] dispatch must be **byte
-//! identical** to the linear `DfaState::edges` scan — same parse trees,
-//! same `TraceEvent` JSONL stream (DFA paths included), same coverage
-//! JSON — over every suite grammar and its full corpus. Plus property
-//! tests: randomly generated DFAs round-trip through the lowering (the
-//! compiled tables agree with the linear scan on accept/default/pred
-//! behavior over random token strings, for both representations).
+//! dense [`CompiledTables`] dispatch must be **byte identical** to the
+//! linear `DfaState::edges` scan (reached through an analysis whose
+//! tables are disabled) — same parse trees, same `TraceEvent` JSONL
+//! stream (DFA paths included), same coverage JSON — over every suite
+//! grammar and its full corpus. Plus property tests: randomly generated
+//! DFAs round-trip through the lowering (the compiled tables agree with
+//! the linear scan on accept/default/pred behavior over random token
+//! strings).
 //!
 //! [`CompiledTables`]: llstar::core::CompiledTables
 
-use llstar::core::{CompiledDfa, TokenClasses, DENSE_CELL_BUDGET, NO_TARGET};
+use llstar::core::{CompiledDfa, TokenClasses, NO_TARGET};
 use llstar::runtime::{NopHooks, Parser, TokenStream};
 use llstar_core::dfa::{DfaState, LookaheadDfa};
 use llstar_core::{DecisionId, PredSource};
@@ -18,7 +19,7 @@ use llstar_lexer::TokenType;
 use llstar_rng::Rng64;
 
 mod common;
-use common::{input_files, interp_corpus, load_grammar, read_inputs, SUITE_STEMS};
+use common::{input_files, interp_corpus, linear, load_grammar, read_inputs, SUITE_STEMS};
 
 #[test]
 fn compiled_dispatch_is_byte_identical_over_the_corpus() {
@@ -26,8 +27,8 @@ fn compiled_dispatch_is_byte_identical_over_the_corpus() {
         let (g, a) = load_grammar(stem);
         assert!(a.tables.enabled(), "{stem}: suite grammars must lower");
         let inputs = read_inputs(&input_files(stem));
-        let c = interp_corpus(&g, &a, &inputs, true);
-        let l = interp_corpus(&g, &a, &inputs, false);
+        let c = interp_corpus(&g, &a, &inputs);
+        let l = interp_corpus(&g, &linear(&a), &inputs);
         assert_eq!(c.trees, l.trees, "{stem}: parse trees diverged");
         assert_eq!(c.trace, l.trace, "{stem}: trace streams diverged");
         assert_eq!(c.coverage, l.coverage, "{stem}: coverage JSON diverged");
@@ -42,14 +43,13 @@ fn error_positions_match_across_dispatch_modes() {
     for (stem, junk) in
         [("calculator", "1 + + 2"), ("json", "{\"a\": }"), ("config", "[section\nkey =")]
     {
-        let (g, a) = load_grammar(stem);
+        let (g, compiled) = load_grammar(stem);
         let start = g.start_rule().name.clone();
         let scanner = g.lexer.build().expect("lexer builds");
         let Ok(tokens) = scanner.tokenize(junk) else { continue };
         let mut errors = Vec::new();
-        for compiled in [true, false] {
-            let mut parser = Parser::new(&g, &a, TokenStream::new(tokens.clone()), NopHooks);
-            parser.set_compiled_dispatch(compiled);
+        for a in [&compiled, &linear(&compiled)] {
+            let mut parser = Parser::new(&g, a, TokenStream::new(tokens.clone()), NopHooks);
             let err = parser.parse_to_eof(&start).expect_err("junk input must fail");
             errors.push(format!("{err:?}"));
         }
@@ -148,24 +148,9 @@ fn random_dfas_round_trip_through_lowering() {
         let classes = TokenClasses::compute(vocab, std::iter::once(&dfa))
             .unwrap_or_else(|| panic!("round {round}: partition overflow"));
         assert!(classes.num_classes() <= vocab.max(1));
-        // Both representations, not just the auto-chosen one.
-        let dense = CompiledDfa::lower_dense(&dfa, &classes);
-        assert!(!dense.is_row_displaced());
-        assert_lowering_matches(&dfa, &classes, &dense);
-        let displaced = CompiledDfa::lower_row_displaced(&dfa, &classes);
-        assert!(displaced.is_row_displaced());
-        assert_lowering_matches(&dfa, &classes, &displaced);
-        // The auto choice follows the size policy — dense within the
-        // cell budget, displacement past it only when it saves at least
-        // a quarter of the dense cells — and stays correct.
-        let auto = CompiledDfa::lower(&dfa, &classes);
-        assert_eq!(
-            auto.is_row_displaced(),
-            dense.table_cells() > DENSE_CELL_BUDGET
-                && displaced.table_cells() * 4 <= dense.table_cells() * 3,
-            "representation choice off policy"
-        );
-        walk_both(&dfa, &classes, &auto, &mut rng);
+        let compiled = CompiledDfa::lower(&dfa, &classes);
+        assert_lowering_matches(&dfa, &classes, &compiled);
+        walk_both(&dfa, &classes, &compiled, &mut rng);
     }
 }
 
@@ -176,7 +161,7 @@ fn lowering_is_deterministic() {
     let classes = TokenClasses::compute(16, std::iter::once(&dfa)).expect("partition fits");
     let a = CompiledDfa::lower(&dfa, &classes);
     let b = CompiledDfa::lower(&dfa, &classes);
-    assert_eq!(a.table, b.table);
+    assert_eq!(a.next, b.next);
     assert_eq!(a.accept, b.accept);
     assert_eq!(a.default_alt, b.default_alt);
     assert_eq!(a.preds, b.preds);
