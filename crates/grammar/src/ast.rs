@@ -194,6 +194,10 @@ pub struct Grammar {
     /// Syntactic predicate fragments, indexed by [`SynPredId`]. Each is a
     /// production-like sequence that must match the upcoming input.
     pub synpreds: Vec<Alt>,
+    /// The rule each syntactic predicate was written in (or inserted
+    /// into, in PEG mode), indexed by [`SynPredId`]: its fragment's
+    /// decisions and errors are attributed to this rule.
+    pub synpred_rules: Vec<RuleId>,
     rule_map: HashMap<String, RuleId>,
 }
 
@@ -209,6 +213,7 @@ impl Grammar {
             sempreds: Vec::new(),
             actions: Vec::new(),
             synpreds: Vec::new(),
+            synpred_rules: Vec::new(),
             rule_map: HashMap::new(),
         }
     }
@@ -265,9 +270,11 @@ impl Grammar {
         ActionId(self.actions.len() as u32 - 1)
     }
 
-    /// Registers a syntactic-predicate fragment and returns its id.
-    pub fn add_synpred(&mut self, fragment: Alt) -> SynPredId {
+    /// Registers a syntactic-predicate fragment written in `rule` and
+    /// returns its id.
+    pub fn add_synpred(&mut self, fragment: Alt, rule: RuleId) -> SynPredId {
         self.synpreds.push(fragment);
+        self.synpred_rules.push(rule);
         SynPredId(self.synpreds.len() as u32 - 1)
     }
 
@@ -340,8 +347,10 @@ mod tests {
         let a = g.add_action("println!(\"hi\")");
         assert_eq!(g.sempred_text(p), "isTypeName");
         assert_eq!(g.action_text(a), "println!(\"hi\")");
-        let sp = g.add_synpred(Alt::epsilon());
+        let s = g.rule_id("s").unwrap();
+        let sp = g.add_synpred(Alt::epsilon(), s);
         assert_eq!(g.synpred(sp), &Alt::epsilon());
+        assert_eq!(g.synpred_rules[sp.0 as usize], s);
     }
 
     #[test]

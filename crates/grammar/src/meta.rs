@@ -746,7 +746,8 @@ fn resolve_synpred_fragment(
     } else {
         Alt::new(vec![Element::Block(Block { alts, ebnf: Ebnf::None })])
     };
-    Ok(g.add_synpred(fragment))
+    let rule = g.rule_id(&at.name).expect("parser rules are declared before they resolve");
+    Ok(g.add_synpred(fragment, rule))
 }
 
 fn resolve_element(g: &mut Grammar, raw: &RawElement, at: &RawRule) -> Result<Element, MetaError> {

@@ -11,8 +11,16 @@
 //! `A → (α)=> α`. The *last* alternative of each decision is left
 //! unpredicated (PEG semantics: the final ordered choice needs no guard —
 //! if the input reaches it, it must match or the whole decision fails).
+//!
+//! Every predicate inserted here is the first element of an alternative
+//! of a multi-alternative rule or block, so it is a prediction-time
+//! construct: the decision's lookahead DFA either evaluates it or was
+//! proved not to need it. Neither engine re-checks it when the parse
+//! walks the chosen alternative, so each predicted alternative is
+//! parsed once. A predicate written anywhere else (mid-sequence, or in a
+//! single-alternative rule or block) stays a gate in the body.
 
-use crate::ast::{Alt, Block, Element, Grammar};
+use crate::ast::{Alt, Block, Element, Grammar, RuleId};
 
 /// Applies PEG mode to every multi-alternative decision in `grammar`
 /// (rule decisions and nested block decisions alike) if the grammar's
@@ -28,9 +36,9 @@ pub fn apply_peg_mode(mut grammar: Grammar) -> Grammar {
         for (i, alt) in rule.alts.iter_mut().enumerate() {
             // Recurse into blocks first so inner decisions get predicated
             // before the outer fragment is captured.
-            predicate_blocks(&mut grammar, &mut alt.elements);
+            predicate_blocks(&mut grammar, rule.id, &mut alt.elements);
             if multi && i + 1 < n {
-                predicate_alt(&mut grammar, alt);
+                predicate_alt(&mut grammar, rule.id, alt);
             }
         }
     }
@@ -38,14 +46,15 @@ pub fn apply_peg_mode(mut grammar: Grammar) -> Grammar {
     grammar
 }
 
-/// Prefixes `alt` with a syntactic predicate matching `alt` itself,
-/// unless it already starts with one (manually specified).
-fn predicate_alt(grammar: &mut Grammar, alt: &mut Alt) {
+/// Prefixes `alt` (an alternative of rule `rule`) with a syntactic
+/// predicate matching `alt` itself, unless it already starts with one
+/// (manually specified).
+fn predicate_alt(grammar: &mut Grammar, rule: RuleId, alt: &mut Alt) {
     if matches!(alt.elements.first(), Some(Element::SynPred(_))) {
         return;
     }
     let fragment = strip_for_fragment(alt);
-    let id = grammar.add_synpred(fragment);
+    let id = grammar.add_synpred(fragment, rule);
     alt.elements.insert(0, Element::SynPred(id));
 }
 
@@ -69,15 +78,15 @@ fn strip_for_fragment(alt: &Alt) -> Alt {
     Alt::new(strip_elements(&alt.elements))
 }
 
-fn predicate_blocks(grammar: &mut Grammar, elements: &mut [Element]) {
+fn predicate_blocks(grammar: &mut Grammar, rule: RuleId, elements: &mut [Element]) {
     for elem in elements {
         if let Element::Block(b) = elem {
             let multi = b.alts.len() > 1;
             let n = b.alts.len();
             for (i, alt) in b.alts.iter_mut().enumerate() {
-                predicate_blocks(grammar, &mut alt.elements);
+                predicate_blocks(grammar, rule, &mut alt.elements);
                 if multi && i + 1 < n {
-                    predicate_alt(grammar, alt);
+                    predicate_alt(grammar, rule, alt);
                 }
             }
         }
@@ -147,6 +156,20 @@ mod tests {
         let before = g.synpreds.len();
         let g = apply_peg_mode(g);
         assert_eq!(g.synpreds.len(), before, "existing predicate kept as-is");
+    }
+
+    #[test]
+    fn synpreds_record_their_rule() {
+        let g = parse_grammar(
+            "grammar P; options { backtrack = true; } s : A B | (C)=> C ; t : (A | B) C | D ; \
+             A:'a'; B:'b'; C:'c'; D:'d';",
+        )
+        .unwrap();
+        let g = apply_peg_mode(g);
+        let (s, t) = (g.rule_id("s").unwrap(), g.rule_id("t").unwrap());
+        // The manual `(C)=>` of `s` first, then the PEG predicates of
+        // `s`, of the block inside `t`, and of `t`.
+        assert_eq!(g.synpred_rules, vec![s, s, t, t]);
     }
 
     #[test]

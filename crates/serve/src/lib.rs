@@ -860,9 +860,6 @@ fn handle_request(
                 let micros = started.elapsed().as_micros() as u64;
                 lane.handle.record(lane.strict.parser().metrics(), micros);
             }
-            // A lex failure never reset the parser, so the recorder
-            // still holds the previous request's tree: don't harvest.
-            let spans = if lexed { lane.strict.parser().span_tree() } else { None };
             let body = match outcome {
                 Ok(tree) => ServeBody::Tree {
                     tokens: tree.token_count() as u64,
@@ -870,7 +867,7 @@ fn handle_request(
                 },
                 Err(e) => session_error_body(&e),
             };
-            (body, spans)
+            (body, SpanSource::session(lexed, SpanSource::Strict))
         }
         ServeMode::Diagnostics => {
             let outcome = lane.recovering.parse_to_eof(&request.input);
@@ -879,7 +876,6 @@ fn handle_request(
                 let micros = started.elapsed().as_micros() as u64;
                 lane.handle.record(lane.recovering.parser().metrics(), micros);
             }
-            let spans = if lexed { lane.recovering.parser().span_tree() } else { None };
             let body = match outcome {
                 Ok(tree) => {
                     let errors = lane.recovering.parser().take_errors();
@@ -894,7 +890,7 @@ fn handle_request(
                 }
                 Err(e) => session_error_body(&e),
             };
-            (body, spans)
+            (body, SpanSource::session(lexed, SpanSource::Recovering))
         }
         ServeMode::Metrics => {
             let outcome = lane.strict.parse_to_eof(&request.input);
@@ -903,7 +899,6 @@ fn handle_request(
                 let micros = started.elapsed().as_micros() as u64;
                 lane.handle.record(lane.strict.parser().metrics(), micros);
             }
-            let spans = if lexed { lane.strict.parser().span_tree() } else { None };
             let body = match outcome {
                 Ok(_) => {
                     let line = lane.strict.parser().metrics_snapshot().to_json("serve", false);
@@ -914,7 +909,7 @@ fn handle_request(
                 }
                 Err(e) => session_error_body(&e),
             };
-            (body, spans)
+            (body, SpanSource::session(lexed, SpanSource::Strict))
         }
         ServeMode::Coverage => coverage_body(shared, entry, lane, &request, started),
     };
@@ -938,17 +933,45 @@ fn capture_reason(body: &ServeBody, parse_us: u64, slow: Option<u64>) -> Option<
     }
 }
 
-/// When a capture trigger fired, persists the exemplar capture and
-/// records it for the metrics exemplars. No-op (and no allocation)
-/// unless span recording is on.
+/// Where a finished request's span tree is folded from. Folding walks
+/// the whole span log, so it waits until a capture trigger has fired.
+enum SpanSource {
+    /// No tree: a lex failure never reset the parser, so its recorder
+    /// still holds the previous request's log.
+    None,
+    /// The lane's strict session.
+    Strict,
+    /// The lane's recovering session.
+    Recovering,
+    /// Coverage mode's one-off parser does not outlive the request, so
+    /// its tree (if any) was folded before the parser was dropped.
+    Folded(Option<SpanTree>),
+}
+
+impl SpanSource {
+    /// `session` when the input lexed (the session's parser ran on this
+    /// request), otherwise no tree.
+    fn session(lexed: bool, session: SpanSource) -> SpanSource {
+        if lexed {
+            session
+        } else {
+            SpanSource::None
+        }
+    }
+}
+
+/// When a capture trigger fired, folds the request's span tree,
+/// persists the exemplar capture and records it for the metrics
+/// exemplars. No-op (and no allocation) unless span recording is on
+/// and a trigger fired.
 #[allow(clippy::too_many_arguments)]
 fn maybe_capture(
     shared: &Shared,
-    lane: &Lane<'_>,
+    lane: &mut Lane<'_>,
     request: &ServeRequest,
     trace_id: &str,
     body: &ServeBody,
-    spans: Option<SpanTree>,
+    spans: SpanSource,
     queue_us: u64,
     parse_us: u64,
 ) {
@@ -957,6 +980,12 @@ fn maybe_capture(
     }
     let Some(reason) = capture_reason(body, parse_us, shared.opts.slow_threshold_us) else {
         return;
+    };
+    let spans = match spans {
+        SpanSource::None => None,
+        SpanSource::Strict => lane.strict.parser().span_tree(),
+        SpanSource::Recovering => lane.recovering.parser().span_tree(),
+        SpanSource::Folded(tree) => tree,
     };
     // Lex failures carry no tree (the parser never ran); an empty tree
     // keeps the capture format uniform.
@@ -1021,13 +1050,13 @@ fn coverage_body(
     lane: &mut Lane<'_>,
     request: &ServeRequest,
     started: Instant,
-) -> (ServeBody, Option<SpanTree>) {
+) -> (ServeBody, SpanSource) {
     let scanner = match entry.grammar.lexer.build() {
         Ok(s) => s,
         Err(e) => {
             return (
                 ServeBody::Error { kind: ServeErrorKind::Lex, message: format!("lexer: {e}") },
-                None,
+                SpanSource::None,
             )
         }
     };
@@ -1036,7 +1065,7 @@ fn coverage_body(
         Err(e) => {
             return (
                 ServeBody::Error { kind: ServeErrorKind::Lex, message: format!("lex error: {e}") },
-                None,
+                SpanSource::None,
             )
         }
     };
@@ -1051,7 +1080,14 @@ fn coverage_body(
     parser.set_trace_sink(&mut sink);
     let outcome = parser.parse_to_eof(&entry.start_rule);
     lane.handle.record(parser.metrics(), started.elapsed().as_micros() as u64);
-    let spans = parser.span_tree();
+    // The parser dies here, before the capture triggers are judged. A
+    // failed parse always triggers a capture; a successful one only
+    // through the slow threshold.
+    let spans = if outcome.is_err() || shared.opts.slow_threshold_us.is_some() {
+        parser.span_tree()
+    } else {
+        None
+    };
     drop(parser);
     let body = match outcome {
         Ok(_) => {
@@ -1064,7 +1100,7 @@ fn coverage_body(
             ServeBody::Error { kind: parse_error_kind(&e), message: format!("parse error: {e}") }
         }
     };
-    (body, spans)
+    (body, SpanSource::Folded(spans))
 }
 
 #[cfg(test)]

@@ -22,10 +22,13 @@ use llstar::core::{
     CacheStatus,
 };
 use llstar::grammar::{apply_peg_mode, parse_grammar, Grammar};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
+/// A fresh directory for one test, under Cargo's per-target test temp
+/// dir: what an earlier run left there is wiped first.
 fn workdir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("llstar_cachetest_{tag}_{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("llstar_cachetest_{tag}"));
+    let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }

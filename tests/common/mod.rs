@@ -9,6 +9,7 @@ use llstar::runtime::{CoverageSink, JsonlSink, NopHooks, Parser, TeeSink, TokenS
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
+use std::sync::Mutex;
 
 /// The four checked-in repo grammars with shipped corpora under
 /// `grammars/corpus/<stem>/`.
@@ -62,13 +63,26 @@ pub fn load_grammar_source(source: &str) -> (Grammar, GrammarAnalysis) {
     (grammar, analysis)
 }
 
-/// A scratch directory under the system temp dir, keyed by `prefix`,
-/// the running test's name and the process id, so no two tests — in
-/// one test binary or across binaries — ever share a path. (The test
-/// harness names each test's thread after the test.)
+/// A scratch directory under Cargo's per-target test temp dir, keyed by
+/// `prefix` and the running test's name, so no two tests in one test
+/// binary share a path. (The test harness names each test's thread after
+/// the test.) The first call for a directory in this process wipes what
+/// an earlier run left there, so every run reuses one directory per
+/// (prefix, test) instead of piling up new ones; later calls from the
+/// same test return it as is.
 pub fn test_dir(prefix: &str) -> PathBuf {
+    static WIPED: Mutex<Vec<PathBuf>> = Mutex::new(Vec::new());
     let test = std::thread::current().name().unwrap_or("main").replace("::", "-");
-    let dir = std::env::temp_dir().join(format!("{prefix}_{test}_{}", std::process::id()));
+    let dir = Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{prefix}_{test}"));
+    let mut wiped = WIPED.lock().unwrap_or_else(|e| e.into_inner());
+    if !wiped.contains(&dir) {
+        match std::fs::remove_dir_all(&dir) {
+            Ok(()) => {}
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) => panic!("wiping {dir:?}: {e}"),
+        }
+        wiped.push(dir.clone());
+    }
     std::fs::create_dir_all(&dir).expect("temp dir");
     dir
 }

@@ -118,12 +118,7 @@ fn oracle(name: &str) {
     // Generated parser: tree fingerprints per input plus the merged
     // coverage JSON, both against the interpreter.
     let exe = build_generated(&entry, &g, &a);
-    let dir = std::env::temp_dir().join(format!(
-        "llstar_gauntlet_corpus_{}_{}",
-        entry.name,
-        std::process::id()
-    ));
-    std::fs::create_dir_all(&dir).expect("corpus temp dir");
+    let dir = common::test_dir(&format!("llstar_gauntlet_corpus_{}", entry.name));
     let files: Vec<PathBuf> = inputs
         .iter()
         .enumerate()

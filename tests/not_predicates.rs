@@ -83,15 +83,31 @@ fn keyword_exclusion_idiom_works() {
     assert_eq!(tree.token_count(), 7, "6 tokens + EOF");
 }
 
+/// A not-predicate that stays a gate in a rule body: `stmt` has a
+/// single alternative, so no prediction evaluates it.
+const SRC3: &str = r#"
+grammar NotGate;
+s : stmt+ EOF ;
+stmt : !('end')=> ID ';' ;
+ID : [a-z]+ ;
+WS : [ ]+ -> skip ;
+"#;
+
 #[test]
 fn generated_code_flips_the_synpred() {
-    let g = parse_grammar(SRC2).unwrap();
+    let g = parse_grammar(SRC3).unwrap();
     let a = analyze(&g);
     let code = llstar::codegen::generate(&g, &a).unwrap();
     assert!(
         code.contains("if self.synpred_0() {") || code.contains("if !self.synpred_0()"),
         "{code}"
     );
-    // The gate in alternative 1's body must be the negated form.
+    // The gate in `stmt`'s body must be the negated form.
     assert!(code.contains("negated syntactic predicate"), "{code}");
+    // SRC2's not-predicate starts an alternative of a two-alternative
+    // rule: it belongs to prediction, which LL(2) lookahead resolves, so
+    // no gate is emitted for it.
+    let g = parse_grammar(SRC2).unwrap();
+    let code = llstar::codegen::generate(&g, &analyze(&g)).unwrap();
+    assert!(!code.contains("negated syntactic predicate"), "{code}");
 }

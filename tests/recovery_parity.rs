@@ -121,20 +121,23 @@ fn main() {
     assert_eq!(stdout.trim(), "OK 1");
 }
 
-/// PEG-mode grammars gate every non-last alternative with a syntactic
-/// predicate in the *rule body* (not just in prediction). When a gate
-/// fails outside speculation, both engines must repair it identically:
-/// report a `predicate` diagnostic, consume at least one token, resync,
-/// and return from the rule.
+/// PEG mode predicates every non-last alternative. Those left-edge
+/// predicates belong to prediction, so on these inputs the engines
+/// repair mismatches inside the predicted alternatives. The third
+/// alternative's mid-sequence `(B C)=>` stays a gate in the *rule body*:
+/// when it fails outside speculation, both engines must repair it
+/// identically — report a `predicate` diagnostic, consume at least one
+/// token, resync, and return from the rule.
 const PEGGY: &str = r#"
 grammar Peggy;
 options { backtrack = true; }
 s : item+ ;
-item : A B C SEMI | X B SEMI ;
+item : A B C SEMI | X B SEMI | Y (B C)=> B C SEMI ;
 A : 'a' ;
 B : 'b' ;
 C : 'c' ;
 X : 'x' ;
+Y : 'y' ;
 SEMI : ';' ;
 WS : [ ]+ -> skip ;
 "#;
@@ -144,7 +147,15 @@ fn generated_gate_recovery_diagnostics_are_byte_identical() {
     let (g, a) = load_grammar_source(PEGGY);
     let exe = build_generated("peggy", PEGGY);
 
-    let inputs = ["a b c ; x b ;", "a b x ; x b ;", "a b c ; a b ;", "a b ; x ;", "a a a ;"];
+    let inputs = [
+        "a b c ; x b ;",
+        "a b x ; x b ;",
+        "a b c ; a b ;",
+        "a b ; x ;",
+        "a a a ;",
+        "y b c ; y c ; x b ;",
+        "y b x ; a b c ;",
+    ];
     let mut predicate_diags = 0usize;
     for input in inputs {
         let (tree, errors, _) =
