@@ -131,8 +131,9 @@ pub struct CoverageMap {
     /// predicate-fragment decisions included so the shape matches the
     /// analysis; they stay zero because speculation is never counted).
     pub decisions: Vec<DecisionCoverage>,
-    /// Memo hits observed while no prediction was in flight (body-level
-    /// predicate gates in PEG mode).
+    /// Memo hits observed while no prediction was in flight (syntactic
+    /// predicates gating a rule body, away from an alternative's left
+    /// edge).
     pub unattributed_memo_hits: u64,
     /// Memo misses observed while no prediction was in flight.
     pub unattributed_memo_misses: u64,
