@@ -991,7 +991,10 @@ impl<'a> ParserGen<'a> {
         w.close("}");
         w.blank();
         w.open(&format!("fn {name}_body(&mut self) -> Result<Tree, Error> {{"));
-        w.line("let mut children: Vec<Tree> = Vec::new();");
+        // Sized like the interpreter's rule nodes, so both engines
+        // allocate the same.
+        let min = self.analysis.atn.min_children[rid];
+        w.line(&format!("let mut children: Vec<Tree> = Vec::with_capacity({min});"));
         w.line("let mut alt: u16 = 0;");
         self.current_rule = rid;
         if rule.alts.len() > 1 {

@@ -84,6 +84,44 @@ pub struct AtnState {
     pub kind: StateKind,
 }
 
+/// What the parse-time interpreter does at a state once the ε moves
+/// leading to it are taken: the ATN lowered to a flat, `Copy` op table
+/// ([`Atn::ops`]). Successor states are ATN edge targets, stored as
+/// `u32` so that an [`OpEntry`] takes 16 bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AtnOp {
+    /// A rule or fragment stop state: the submachine returns. States
+    /// with no outgoing edge (the sinks of the synthetic continuations)
+    /// lower to this too.
+    Stop,
+    /// A decision state: predict alternative *i*, then continue at
+    /// `alt_starts[k + i - 1]`, where `k` is the second field (see
+    /// [`Atn::alt_starts`]).
+    Decide(DecisionId, u32),
+    /// Match a token, then continue at the successor.
+    Match(TokenType, u32),
+    /// Invoke a rule, then continue at its follow state.
+    Call(RuleId, u32),
+    /// Gate on a semantic predicate.
+    Pred(PredId, u32),
+    /// Gate on a syntactic predicate (`true`: a negated one).
+    SynPred(SynPredId, bool, u32),
+    /// Run an action (`true`: also while speculating).
+    Action(ActionId, bool, u32),
+}
+
+/// One op-table entry: a run of `eps` ε moves from the indexing state,
+/// then the op of the state the run ends at. A state that is not itself
+/// an ε move has `eps == 0`. Every ATN cycle passes a decision state,
+/// so runs are finite.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OpEntry {
+    /// ε moves collapsed into this entry.
+    pub eps: u32,
+    /// What happens at the end of the run.
+    pub op: AtnOp,
+}
+
 /// What grammar construct a decision belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DecisionKind {
@@ -174,6 +212,17 @@ pub struct Atn {
     /// The `SynPred`/`NotSynPred` edge stays so the analysis can hoist
     /// it; the parse passes over it ([`Atn::alt_start`]).
     pub prediction_gate: Vec<bool>,
+    /// The op table, indexed by state ([`OpEntry`]): with `alt_starts`,
+    /// all the parse-time interpreter reads of the network.
+    pub ops: Vec<OpEntry>,
+    /// [`Atn::alt_start`] of every alternative of every decision, the
+    /// decisions' runs in decision order.
+    pub alt_starts: Vec<u32>,
+    /// Per rule: the fewest children any parse of the rule produces,
+    /// the 0-1 shortest path over `Token` and `Rule` edges from its
+    /// entry to its stop. Tree builders size a rule node's children to
+    /// it.
+    pub min_children: Vec<u32>,
 }
 
 impl Atn {
@@ -212,6 +261,22 @@ impl Atn {
         } else {
             left
         }
+    }
+
+    /// Builds the op table and the alternative starts it points into.
+    fn lower(&mut self) {
+        let mut alt_base = Vec::with_capacity(self.decisions.len());
+        let mut alt_starts = Vec::new();
+        for d in &self.decisions {
+            alt_base.push(u32::try_from(alt_starts.len()).expect("alternatives fit u32"));
+            for alt in 1..=self.states[d.state].edges.len() {
+                let start =
+                    self.alt_start(d.state, u16::try_from(alt).expect("alternatives fit u16"));
+                alt_starts.push(state_u32(start));
+            }
+        }
+        self.ops = lower_ops(&self.states, &alt_base);
+        self.alt_starts = alt_starts;
     }
 
     /// Number of alternatives of decision `id`.
@@ -374,7 +439,8 @@ impl<'g> Builder<'g> {
         for &s in &self.prediction_gates {
             prediction_gate[s] = true;
         }
-        Atn {
+        let min_children = min_children(&self.states, &self.rule_entry, &self.rule_stop);
+        let mut atn = Atn {
             states: self.states,
             rule_entry: self.rule_entry,
             rule_stop: self.rule_stop,
@@ -387,7 +453,12 @@ impl<'g> Builder<'g> {
             token_sites: self.token_sites,
             call_sites: self.call_sites,
             prediction_gate,
-        }
+            ops: Vec::new(),
+            alt_starts: Vec::new(),
+            min_children,
+        };
+        atn.lower();
+        atn
     }
 
     /// Wires `entry` through each alternative to `stop`. Multi-alternative
@@ -549,6 +620,97 @@ impl<'g> Builder<'g> {
             }
         }
     }
+}
+
+/// The op of `state` alone, or `None` for an ε move (a non-decision
+/// state whose edge is ε).
+fn own_op(state: &AtnState, alt_base: &[u32]) -> Option<AtnOp> {
+    match state.kind {
+        StateKind::RuleStop => return Some(AtnOp::Stop),
+        StateKind::Decision(d) => return Some(AtnOp::Decide(d, alt_base[d.index()])),
+        StateKind::Basic | StateKind::RuleEntry => {}
+    }
+    let Some((edge, target)) = state.edges.first() else {
+        return Some(AtnOp::Stop);
+    };
+    let next = state_u32(*target);
+    Some(match *edge {
+        AtnEdge::Epsilon => return None,
+        AtnEdge::Token(t) => AtnOp::Match(t, next),
+        AtnEdge::Rule { rule, follow } => AtnOp::Call(rule, state_u32(follow)),
+        AtnEdge::Pred(p) => AtnOp::Pred(p, next),
+        AtnEdge::SynPred(sp) => AtnOp::SynPred(sp, false, next),
+        AtnEdge::NotSynPred(sp) => AtnOp::SynPred(sp, true, next),
+        AtnEdge::Action(a, always) => AtnOp::Action(a, always, next),
+    })
+}
+
+fn state_u32(index: usize) -> u32 {
+    u32::try_from(index).expect("ATN state ids fit in u32")
+}
+
+/// Lowers every state to its [`OpEntry`], collapsing ε runs. Each run
+/// is resolved once: an entry reuses the entry of the state it moves to.
+fn lower_ops(states: &[AtnState], alt_base: &[u32]) -> Vec<OpEntry> {
+    let mut ops: Vec<Option<OpEntry>> = vec![None; states.len()];
+    let mut run = Vec::new();
+    for s in 0..states.len() {
+        let mut cur = s;
+        let end = loop {
+            if let Some(entry) = ops[cur] {
+                break entry;
+            }
+            match own_op(&states[cur], alt_base) {
+                Some(op) => break OpEntry { eps: 0, op },
+                None => {
+                    run.push(cur);
+                    cur = states[cur].edges[0].1;
+                }
+            }
+        };
+        ops[cur] = Some(end);
+        for (i, &state) in run.iter().rev().enumerate() {
+            ops[state] = Some(OpEntry { eps: end.eps + i as u32 + 1, op: end.op });
+        }
+        run.clear();
+    }
+    ops.into_iter().map(|entry| entry.expect("every state lowered")).collect()
+}
+
+/// Per rule, the fewest `Token` and `Rule` edges on any path from its
+/// entry to its stop (0-1 breadth-first search; a `Rule` edge steps to
+/// its follow state). Submachines share no states, so one distance
+/// array serves every rule.
+fn min_children(
+    states: &[AtnState],
+    rule_entry: &[AtnStateId],
+    rule_stop: &[AtnStateId],
+) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; states.len()];
+    let mut queue = std::collections::VecDeque::new();
+    for &entry in rule_entry {
+        dist[entry] = 0;
+        queue.push_back(entry);
+        while let Some(s) = queue.pop_front() {
+            for (edge, target) in &states[s].edges {
+                let (next, weight) = match *edge {
+                    AtnEdge::Token(_) => (*target, 1),
+                    AtnEdge::Rule { follow, .. } => (follow, 1),
+                    _ => (*target, 0),
+                };
+                let d = dist[s] + weight;
+                if d < dist[next] {
+                    dist[next] = d;
+                    if weight == 0 {
+                        queue.push_front(next);
+                    } else {
+                        queue.push_back(next);
+                    }
+                }
+            }
+        }
+    }
+    rule_stop.iter().map(|&stop| if dist[stop] == u32::MAX { 0 } else { dist[stop] }).collect()
 }
 
 #[cfg(test)]
@@ -720,6 +882,51 @@ mod tests {
         assert_eq!(fragment.len(), 1);
         assert_eq!(fragment[0].rule, t);
         assert_eq!(atn.states[atn.synpred_entry[0]].rule, t);
+    }
+
+    /// Every entry is the op of the state its ε run ends at, and a
+    /// decision's entry points at its alternatives' starts.
+    #[test]
+    fn op_table_collapses_epsilon_runs() {
+        let g = parse_grammar(
+            "grammar G; s : A ((B)) | x {act} ; x : ((A)=> A)? C+ ; A:'a'; B:'b'; C:'c';",
+        )
+        .unwrap();
+        let atn = Atn::from_grammar(&g);
+        assert_eq!(atn.ops.len(), atn.states.len());
+        for (state, entry) in atn.ops.iter().enumerate() {
+            let mut end = state;
+            for _ in 0..entry.eps {
+                assert_eq!(atn.states[end].edges.len(), 1, "an ε run has one way on");
+                assert_eq!(atn.states[end].edges[0].0, AtnEdge::Epsilon);
+                end = atn.states[end].edges[0].1;
+            }
+            let st = &atn.states[end];
+            let moves_on = matches!(st.kind, StateKind::Basic | StateKind::RuleEntry)
+                && matches!(st.edges.first(), Some((AtnEdge::Epsilon, _)));
+            assert!(!moves_on, "the run ends at a state that does work");
+            if let AtnOp::Decide(d, base) = entry.op {
+                assert_eq!(atn.decisions[d.index()].state, end);
+                for alt in 1..=atn.alt_count(d) {
+                    let start = atn.alt_starts[base as usize + alt - 1] as usize;
+                    assert_eq!(start, atn.alt_start(end, alt as u16));
+                }
+            }
+        }
+        assert!(atn.ops.iter().any(|e| e.eps >= 2), "((B)) leaves a two-move run");
+        let entry = atn.rule_entry[g.rule_id("x").unwrap().index()];
+        assert!(matches!(atn.ops[entry].op, AtnOp::Decide(..)), "x's entry runs into `?`");
+    }
+
+    #[test]
+    fn min_children_is_the_shortest_token_and_rule_path() {
+        let g = parse_grammar(
+            "grammar G; s : A B | x ; x : C? ; t : (A B)+ x ; u : {p}? ; A:'a'; B:'b'; C:'c';",
+        )
+        .unwrap();
+        let atn = Atn::from_grammar(&g);
+        let min = |name: &str| atn.min_children[g.rule_id(name).unwrap().index()];
+        assert_eq!((min("s"), min("x"), min("t"), min("u")), (1, 0, 3, 0));
     }
 
     #[test]

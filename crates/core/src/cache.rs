@@ -199,10 +199,23 @@ mod tests {
     use super::*;
     use llstar_grammar::parse_grammar;
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("llstar_cache_{tag}_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        dir
+    /// A per-test directory under the system temp dir, removed when the
+    /// test ends (unit tests get no `CARGO_TARGET_TMPDIR`).
+    struct TempDir(PathBuf);
+
+    impl TempDir {
+        fn new(tag: &str) -> TempDir {
+            let dir =
+                std::env::temp_dir().join(format!("llstar_cache_{tag}_{}", std::process::id()));
+            std::fs::create_dir_all(&dir).expect("temp dir");
+            TempDir(dir)
+        }
+    }
+
+    impl Drop for TempDir {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_dir_all(&self.0);
+        }
     }
 
     fn demo_grammar() -> Grammar {
@@ -212,7 +225,8 @@ mod tests {
     #[test]
     fn miss_then_hit() {
         let g = demo_grammar();
-        let path = tmpdir("miss_then_hit").join(format!("{}.dfa", g.name));
+        let dir = TempDir::new("miss_then_hit");
+        let path = dir.0.join(format!("{}.dfa", g.name));
         let _ = std::fs::remove_file(&path);
 
         let (a, status) = analyze_cached(&g, &path).unwrap();
@@ -237,14 +251,14 @@ mod tests {
     #[test]
     fn grammar_edit_is_a_stale_miss() {
         let g1 = demo_grammar();
-        let dir = tmpdir("stale");
-        let path = cache_path(&dir, &g1);
+        let dir = TempDir::new("stale");
+        let path = cache_path(&dir.0, &g1);
         let _ = std::fs::remove_file(&path);
         analyze_cached(&g1, &path).unwrap();
 
         // Same grammar *name*, different body ⇒ same cache slot, stale.
         let g2 = parse_grammar("grammar D; s : A X | B Y ; A:'a'; B:'b'; X:'x'; Y:'y';").unwrap();
-        assert_eq!(cache_path(&dir, &g2), path);
+        assert_eq!(cache_path(&dir.0, &g2), path);
         let (_, status) = analyze_cached(&g2, &path).unwrap();
         assert_eq!(status, CacheStatus::Miss(CacheMiss::StaleGrammar));
 
@@ -260,15 +274,15 @@ mod tests {
         // ambiguity/dead-alternative warnings — so serving the unbounded-k
         // cache would silently change analysis results.
         let g1 = demo_grammar();
-        let dir = tmpdir("options_edit");
-        let path = cache_path(&dir, &g1);
+        let dir = TempDir::new("options_edit");
+        let path = cache_path(&dir.0, &g1);
         let _ = std::fs::remove_file(&path);
         analyze_cached(&g1, &path).unwrap();
 
         let g2 =
             parse_grammar("grammar D; options { k = 1; } s : A X | A Y ; A:'a'; X:'x'; Y:'y';")
                 .unwrap();
-        assert_eq!(cache_path(&dir, &g2), path, "same slot");
+        assert_eq!(cache_path(&dir.0, &g2), path, "same slot");
         let (a, status) = analyze_cached(&g2, &path).unwrap();
         assert_eq!(status, CacheStatus::Miss(CacheMiss::StaleGrammar));
         assert!(!a.from_cache);
@@ -288,7 +302,8 @@ mod tests {
         // Same grammar text, but the caller asks for different
         // result-affecting options than the cache was built under.
         let g = demo_grammar();
-        let path = tmpdir("caller_options").join(format!("{}.dfa", g.name));
+        let dir = TempDir::new("caller_options");
+        let path = dir.0.join(format!("{}.dfa", g.name));
         let _ = std::fs::remove_file(&path);
         analyze_cached(&g, &path).unwrap();
 
@@ -308,7 +323,8 @@ mod tests {
     #[test]
     fn corrupt_cache_is_rejected_and_repaired() {
         let g = demo_grammar();
-        let path = tmpdir("corrupt").join(format!("{}.dfa", g.name));
+        let dir = TempDir::new("corrupt");
+        let path = dir.0.join(format!("{}.dfa", g.name));
         std::fs::write(&path, "llstar-analysis v2\ngarbage\n").unwrap();
 
         let (a, status) = analyze_cached(&g, &path).unwrap();
@@ -329,7 +345,8 @@ mod tests {
         // A v1-era cache (no metrics line) must never be trusted; the
         // lookup repairs it in place.
         let g = demo_grammar();
-        let path = tmpdir("v1_upgrade").join(format!("{}.dfa", g.name));
+        let dir = TempDir::new("v1_upgrade");
+        let path = dir.0.join(format!("{}.dfa", g.name));
         std::fs::write(&path, "llstar-analysis v1\nfingerprint 0123456789abcdef\n").unwrap();
         let (_, status) = analyze_cached(&g, &path).unwrap();
         assert!(matches!(status, CacheStatus::Miss(CacheMiss::Invalid(_))), "{status}");
@@ -340,7 +357,8 @@ mod tests {
     #[test]
     fn metered_lookups_tally_outcomes() {
         let g = demo_grammar();
-        let path = tmpdir("metered").join(format!("{}.dfa", g.name));
+        let dir = TempDir::new("metered");
+        let path = dir.0.join(format!("{}.dfa", g.name));
         let _ = std::fs::remove_file(&path);
         let options = AnalysisOptions::from_grammar(&g);
         let mut metrics = CacheMetrics::default();

@@ -51,7 +51,10 @@ pub use analysis::{
     analyze, analyze_decision, analyze_with, AnalysisOptions, AnalysisWarning, DecisionAnalysis,
     GrammarAnalysis,
 };
-pub use atn::{Atn, AtnEdge, AtnState, AtnStateId, Decision, DecisionId, DecisionKind, StateKind};
+pub use atn::{
+    Atn, AtnEdge, AtnOp, AtnState, AtnStateId, Decision, DecisionId, DecisionKind, OpEntry,
+    StateKind,
+};
 pub use cache::{
     analyze_cached, analyze_cached_metered, analyze_cached_with, cache_path, CacheMiss, CacheStatus,
 };

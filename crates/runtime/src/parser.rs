@@ -1,9 +1,10 @@
 //! The LL(*) parse-time engine (Section 4).
 //!
-//! The parser interprets the grammar's ATN directly: single-successor
-//! states execute terminals, rule invocations, predicates and actions;
-//! decision states consult their lookahead DFA (Figure 5's configuration
-//! change rules) to pick an alternative, gracefully throttling from LL(1)
+//! The parser interprets the grammar's ATN through its lowered op table
+//! ([`llstar_core::Atn::ops`], ε moves collapsed): ops execute
+//! terminals, rule invocations, predicates and actions; decision ops
+//! consult their lookahead DFA (Figure 5's configuration change rules)
+//! to pick an alternative, gracefully throttling from LL(1)
 //! to arbitrary regular lookahead and finally to backtracking via
 //! syntactic predicates. Speculative parses memoize rule results (packrat
 //! caching, Section 6.2), suppress non-`{{…}}` actions (Section 4.3), and
@@ -18,7 +19,7 @@ use crate::stream::TokenStream;
 use crate::trace::{MemoKind, TraceEvent, TraceSink};
 use crate::tree::ParseTree;
 use llstar_core::{
-    Atn, AtnEdge, AtnStateId, DecisionId, GrammarAnalysis, PredSource, StateKind, NO_TARGET,
+    Atn, AtnOp, AtnStateId, DecisionId, GrammarAnalysis, OpEntry, PredSource, NO_TARGET,
 };
 use llstar_grammar::{Grammar, RuleId, SynPredId};
 use llstar_lexer::{Token, TokenType};
@@ -198,9 +199,9 @@ pub struct Parser<'g, H: Hooks> {
     /// no sink indirection and no per-event values — each record site
     /// is a handful of unconditional array increments.
     metrics: ParseMetrics,
-    /// Interpreter steps taken since the last [`Parser::reset`]; every
-    /// iteration of [`Parser::interpret`] (including speculative ones)
-    /// burns one unit.
+    /// Interpreter steps taken since the last [`Parser::reset`],
+    /// speculative ones included: one per ATN state left, so an op
+    /// reached through k ε moves burns k + 1 ([`Parser::charge`]).
     fuel_used: u64,
     /// The per-parse step budget ([`Parser::set_fuel_limit`]);
     /// `u64::MAX` means uncapped. Configuration — survives `reset`.
@@ -422,7 +423,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// higher (2-core x86-64 host).
     #[inline(always)]
     fn emit(&mut self, event: TraceEvent) {
-        if self.spans.is_none() && self.trace.is_none() {
+        if !self.observed() {
             return;
         }
         if let Some(recorder) = self.spans.as_mut() {
@@ -431,6 +432,13 @@ impl<'g, H: Hooks> Parser<'g, H> {
         if let Some(sink) = self.trace.as_mut() {
             sink.event(&event);
         }
+    }
+
+    /// Whether anything listens to events. Sites whose event owns an
+    /// allocation check this first, so an unobserved parse makes none.
+    #[inline(always)]
+    fn observed(&self) -> bool {
+        self.spans.is_some() || self.trace.is_some()
     }
 
     /// Starts folding events into a request-scoped span tree (capped at
@@ -551,16 +559,17 @@ impl<'g, H: Hooks> Parser<'g, H> {
             .grammar
             .rule_id(rule_name)
             .unwrap_or_else(|| panic!("unknown start rule {rule_name:?}"));
-        match self.parse_rule_node(rule, true) {
+        let mut out = Vec::with_capacity(1);
+        match self.parse_rule_node(rule, true, &mut out) {
             // A parse that tripped a budget mid-speculation can limp to
             // an apparent success (the failed synpred steers prediction
             // down another viable path) or die with a derived syntax
             // error ("no viable alternative", "predicate failed"). Both
             // are artifacts of the abort, not of the input: whenever
             // `exhausted` is set, the budget error is the outcome.
-            Ok(tree) => match self.exhausted.clone() {
+            Ok(()) => match self.exhausted.clone() {
                 Some(e) => Err(e),
-                None => Ok(tree.expect("building mode returns a tree")),
+                None => Ok(out.pop().expect("building mode returns a tree")),
             },
             Err(e) => {
                 let e = self.exhausted.clone().unwrap_or(e);
@@ -661,13 +670,14 @@ impl<'g, H: Hooks> Parser<'g, H> {
         }
     }
 
-    /// Parses one rule invocation; returns `None` when not building trees
-    /// (speculation).
+    /// Parses one rule invocation. When building, the finished rule node
+    /// is appended to `out`, the caller's children.
     fn parse_rule_node(
         &mut self,
         rule: RuleId,
         build: bool,
-    ) -> Result<Option<ParseTree>, ParseError> {
+        out: &mut Vec<ParseTree>,
+    ) -> Result<(), ParseError> {
         let start = self.tokens.index();
         if self.speculating > 0 && self.memoize {
             let m = self.memo_rules.get(rule.index(), start);
@@ -682,7 +692,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 return match m {
                     MemoEntry::Success(stop) => {
                         self.tokens.seek(stop);
-                        Ok(None)
+                        Ok(())
                     }
                     // Never observed (see `MemoEntry`): we are speculating,
                     // so recovery is off and this `Err` unwinds to
@@ -698,19 +708,33 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 };
             }
         }
-        let entry = self.atn().rule_entry[rule.index()];
-        self.emit(TraceEvent::RuleEnter { rule: rule.index() as u32, token_index: start });
-        let result = self.interpret(entry, rule, build);
-        let exit = TraceEvent::RuleExit {
-            rule: rule.index() as u32,
-            token_index: self.tokens.index(),
-            alt: match &result {
-                Ok(Some((alt, _))) => *alt,
-                _ => 0,
-            },
-            ok: result.is_ok(),
+        let atn = self.atn();
+        let entry = atn.rule_entry[rule.index()];
+        // Sized once, at the fewest children any parse of the rule makes.
+        let mut children = if build {
+            Vec::with_capacity(atn.min_children[rule.index()] as usize)
+        } else {
+            Vec::new()
         };
-        self.emit(exit);
+        // The span recorder logs the rule once, at exit.
+        let mark = self.spans.as_ref().map_or(0, crate::span::SpanRecorder::rule_enter);
+        if let Some(sink) = self.trace.as_mut() {
+            sink.event(&TraceEvent::RuleEnter { rule: rule.index() as u32, token_index: start });
+        }
+        let result = self.interpret(entry, rule, build, &mut children);
+        let (end, ok) = (self.tokens.index(), result.is_ok());
+        // A speculative parse builds no node and reports no alternative.
+        let alt = match result {
+            Ok(alt) if build => alt,
+            _ => 0,
+        };
+        if let Some(recorder) = self.spans.as_mut() {
+            recorder.rule_exit(mark, rule.index() as u32, start, end, alt, ok);
+        }
+        if let Some(sink) = self.trace.as_mut() {
+            let rule = rule.index() as u32;
+            sink.event(&TraceEvent::RuleExit { rule, token_index: end, alt, ok });
+        }
         if self.speculating > 0 && self.memoize {
             let memo_value = match &result {
                 Ok(_) => MemoEntry::Success(self.tokens.index()),
@@ -725,83 +749,122 @@ impl<'g, H: Hooks> Parser<'g, H> {
             });
             self.memo_rules.set(rule.index(), start, memo_value);
         }
-        result.map(|children| {
-            build.then(|| {
-                let (alt, children) = children.expect("build mode collects children");
-                ParseTree::Rule { rule, alt, children }
-            })
-        })
+        let alt = result?;
+        if build {
+            out.push(ParseTree::Rule { rule, alt, children });
+        }
+        Ok(())
     }
 
-    /// Interprets a submachine from `entry` to its stop state. Returns the
-    /// chosen rule alternative and collected children when building.
-    #[allow(clippy::type_complexity)]
-    fn interpret(
+    /// Charges `steps` interpreter steps to the idle watchdog and the
+    /// budgets, reporting exactly the error the steps taken one at a
+    /// time would: per step the watchdog is checked before fuel, and the
+    /// deadline is polled when fuel reaches a multiple of 4096. Only a
+    /// run that may trip something is replayed step by step.
+    #[inline]
+    fn charge(
         &mut self,
-        entry: usize,
+        steps: usize,
+        idle_steps: &mut usize,
+        idle_limit: usize,
         rule: RuleId,
-        build: bool,
-    ) -> Result<Option<(u16, Vec<ParseTree>)>, ParseError> {
-        let mut children: Vec<ParseTree> = Vec::new();
-        let mut state = entry;
-        let mut rule_alt: u16 = 0;
-        let mut idle_steps: usize = 0;
-        let idle_limit = self.atn().states.len() * 2 + 64;
-        loop {
-            if self.atn().is_stop_state(state) {
-                return Ok(Some((rule_alt, children)).filter(|_| build));
-            }
-            idle_steps += 1;
-            if idle_steps > idle_limit {
+    ) -> Result<(), ParseError> {
+        let fuel = self.fuel_used + steps as u64;
+        // Nothing can trip: both counters stay within their limits, no
+        // budget is exhausted, and no deadline poll falls in the run.
+        let quiet = *idle_steps + steps <= idle_limit
+            && fuel <= self.fuel_limit
+            && self.exhausted.is_none()
+            && (self.deadline.is_none()
+                || fuel | DEADLINE_CHECK_MASK == self.fuel_used | DEADLINE_CHECK_MASK);
+        if quiet {
+            *idle_steps += steps;
+            self.fuel_used = fuel;
+            return Ok(());
+        }
+        (0..steps).try_for_each(|_| {
+            *idle_steps += 1;
+            if *idle_steps > idle_limit {
                 return Err(self.error_here(|p| ParseErrorKind::InfiniteLoop {
                     rule: p.grammar.rule(rule).name.clone(),
                 }));
             }
-            if let Some(err) = self.burn_fuel() {
-                return Err(err);
-            }
-            if let StateKind::Decision(id) = self.atn().states[state].kind {
-                let alt = match self.timed_predict(id) {
-                    Ok(alt) => alt,
-                    Err(err) => {
-                        // Prediction swallows speculative sub-parse
-                        // failures; if what actually stopped it was a
-                        // budget abort, report that instead of the
-                        // derived no-viable error — and never resync
-                        // past it.
-                        let err = self.exhausted.clone().unwrap_or(err);
-                        let resync = !err.is_resource_limit()
-                            && self.recovering()
-                            && self.recovery.as_mut().expect("recovering").strategy.on_no_viable();
-                        if !resync {
-                            return Err(err);
+            self.burn_fuel().map_or(Ok(()), Err)
+        })
+    }
+
+    /// Interprets a submachine from `entry` to its stop state over the
+    /// ATN's op table, appending to `children` when building. Returns
+    /// the chosen rule alternative (0 for a single-alternative rule).
+    ///
+    /// Each op is one interpreter step, and so is each ε move collapsed
+    /// into it; reaching a stop state is free.
+    fn interpret(
+        &mut self,
+        entry: AtnStateId,
+        rule: RuleId,
+        build: bool,
+        children: &mut Vec<ParseTree>,
+    ) -> Result<u16, ParseError> {
+        // `self.analysis` is a `&'g` field; copying it out unties the
+        // table borrows from `&mut self`.
+        let analysis = self.analysis;
+        let grammar = self.grammar;
+        let ops = analysis.atn.ops.as_slice();
+        let mut state = entry;
+        let mut rule_alt: u16 = 0;
+        let mut idle_steps: usize = 0;
+        let idle_limit = ops.len() * 2 + 64;
+        loop {
+            let OpEntry { eps, op } = ops[state];
+            let steps = eps as usize + usize::from(op != AtnOp::Stop);
+            self.charge(steps, &mut idle_steps, idle_limit, rule)?;
+            match op {
+                AtnOp::Stop => return Ok(rule_alt),
+                AtnOp::Decide(id, alts) => {
+                    let at_entry = eps == 0 && state == entry;
+                    let alt = match self.timed_predict(id) {
+                        Ok(alt) => alt,
+                        Err(err) => {
+                            // Prediction swallows speculative sub-parse
+                            // failures; if what actually stopped it was a
+                            // budget abort, report that instead of the
+                            // derived no-viable error — and never resync
+                            // past it.
+                            let err = self.exhausted.clone().unwrap_or(err);
+                            let resync = !err.is_resource_limit()
+                                && self.recovering()
+                                && self
+                                    .recovery
+                                    .as_mut()
+                                    .expect("recovering")
+                                    .strategy
+                                    .on_no_viable();
+                            if !resync {
+                                return Err(err);
+                            }
+                            state = analysis.atn.decisions[id.index()].state;
+                            match self.recover_no_viable(err, state, rule, build, children)? {
+                                RepairOutcome::Retry => {
+                                    idle_steps = 0;
+                                    continue;
+                                }
+                                RepairOutcome::Return => return Ok(rule_alt),
+                                RepairOutcome::Continue { .. } => {
+                                    unreachable!("no-viable repairs retry or return")
+                                }
+                            }
                         }
-                        match self.recover_no_viable(err, state, rule, build, &mut children)? {
-                            RepairOutcome::Retry => {
-                                idle_steps = 0;
-                                continue;
-                            }
-                            RepairOutcome::Return => {
-                                return Ok(Some((rule_alt, children)).filter(|_| build));
-                            }
-                            RepairOutcome::Continue { .. } => {
-                                unreachable!("no-viable repairs retry or return")
-                            }
-                        }
+                    };
+                    if at_entry {
+                        rule_alt = alt;
                     }
-                };
-                if state == entry {
-                    rule_alt = alt;
+                    // A left-edge syntactic predicate belongs to
+                    // prediction, which has just evaluated it or proved
+                    // it unneeded (`Atn::alt_start`).
+                    state = analysis.atn.alt_starts[alts as usize + usize::from(alt) - 1] as usize;
                 }
-                // A left-edge syntactic predicate belongs to prediction,
-                // which has just evaluated it or proved it unneeded.
-                state = self.atn().alt_start(state, alt);
-                continue;
-            }
-            let (edge, target) = self.atn().states[state].edges[0].clone();
-            match edge {
-                AtnEdge::Epsilon => state = target,
-                AtnEdge::Token(expected) => {
+                AtnOp::Match(expected, next) => {
                     if self.tokens.la(1) == expected {
                         let tok = self.tokens.consume();
                         idle_steps = 0;
@@ -809,104 +872,84 @@ impl<'g, H: Hooks> Parser<'g, H> {
                         if build {
                             children.push(ParseTree::Token(tok));
                         }
-                        state = target;
+                        state = next as usize;
                     } else {
+                        // An ε move's expected set is its target's, so the
+                        // run's first state reports the matching state's.
                         let err = self.mismatch_here(expected, state);
+                        let next = next as usize;
                         if !self.recovering() {
                             return Err(err);
                         }
-                        match self.recover_mismatch(
-                            err,
-                            expected,
-                            target,
-                            rule,
-                            build,
-                            &mut children,
-                        )? {
-                            RepairOutcome::Continue { state: next, consumed } => {
+                        match self.recover_mismatch(err, expected, next, rule, build, children)? {
+                            RepairOutcome::Continue { state: resume, consumed } => {
                                 if consumed {
                                     idle_steps = 0;
                                 }
-                                state = next;
+                                state = resume;
                             }
-                            RepairOutcome::Return => {
-                                return Ok(Some((rule_alt, children)).filter(|_| build));
-                            }
+                            RepairOutcome::Return => return Ok(rule_alt),
                             RepairOutcome::Retry => {
                                 unreachable!("mismatch repairs continue or return")
                             }
                         }
                     }
                 }
-                AtnEdge::Rule { rule: callee, follow } => {
+                AtnOp::Call(callee, follow) => {
+                    let follow = follow as usize;
                     self.follow_stack.push(follow);
-                    let sub = self.parse_rule_node(callee, build);
+                    let sub = self.parse_rule_node(callee, build, children);
                     self.follow_stack.pop();
-                    let sub = sub?;
+                    sub?;
                     idle_steps = 0;
-                    if let Some(tree) = sub {
-                        children.push(tree);
-                    }
                     state = follow;
                 }
-                AtnEdge::Pred(p) => {
-                    let text = self.grammar.sempred_text(p).to_string();
+                AtnOp::Pred(p, next) => {
+                    let text = grammar.sempred_text(p);
                     let ctx = self.hook_ctx();
-                    let outcome = self.hooks.sempred(&text, &ctx);
-                    self.emit(TraceEvent::Sempred {
-                        pred: text.clone(),
-                        token_index: self.tokens.index(),
-                        outcome,
-                    });
+                    let outcome = self.hooks.sempred(text, &ctx);
+                    if self.observed() {
+                        self.emit(TraceEvent::Sempred {
+                            pred: text.to_string(),
+                            token_index: self.tokens.index(),
+                            outcome,
+                        });
+                    }
                     if outcome {
-                        state = target;
-                    } else {
-                        let err = self
-                            .error_here(|_| ParseErrorKind::PredicateFailed { predicate: text });
-                        if !self.recovering() {
-                            return Err(err);
-                        }
-                        self.recover_gate(err, rule, build, &mut children)?;
-                        return Ok(Some((rule_alt, children)).filter(|_| build));
-                    }
-                }
-                AtnEdge::SynPred(sp) => {
-                    let (ok, _) = self.eval_synpred(sp);
-                    if ok {
-                        state = target;
+                        state = next as usize;
                     } else {
                         let err = self.error_here(|_| ParseErrorKind::PredicateFailed {
-                            predicate: format!("synpred{}", sp.0),
+                            predicate: text.to_string(),
                         });
                         if !self.recovering() {
                             return Err(err);
                         }
-                        self.recover_gate(err, rule, build, &mut children)?;
-                        return Ok(Some((rule_alt, children)).filter(|_| build));
+                        self.recover_gate(err, rule, build, children)?;
+                        return Ok(rule_alt);
                     }
                 }
-                AtnEdge::NotSynPred(sp) => {
+                AtnOp::SynPred(sp, negated, next) => {
                     let (ok, _) = self.eval_synpred(sp);
-                    if !ok {
-                        state = target;
+                    if ok != negated {
+                        state = next as usize;
                     } else {
+                        let bang = if negated { "!" } else { "" };
                         let err = self.error_here(|_| ParseErrorKind::PredicateFailed {
-                            predicate: format!("!synpred{}", sp.0),
+                            predicate: format!("{bang}synpred{}", sp.0),
                         });
                         if !self.recovering() {
                             return Err(err);
                         }
-                        self.recover_gate(err, rule, build, &mut children)?;
-                        return Ok(Some((rule_alt, children)).filter(|_| build));
+                        self.recover_gate(err, rule, build, children)?;
+                        return Ok(rule_alt);
                     }
                 }
-                AtnEdge::Action(a, always) => {
+                AtnOp::Action(a, always, next) => {
                     if self.speculating == 0 || always {
-                        let text = self.grammar.action_text(a).to_string();
                         let ctx = self.hook_ctx();
-                        self.hooks.action(&text, &ctx);
+                        self.hooks.action(grammar.action_text(a), &ctx);
                     }
-                    state = target;
+                    state = next as usize;
                 }
             }
         }
@@ -999,14 +1042,16 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 for &(pred, alt) in preds {
                     match pred {
                         PredSource::Sem(p) => {
-                            let text = self.grammar.sempred_text(p).to_string();
+                            let text = self.grammar.sempred_text(p);
                             let ctx = self.hook_ctx();
-                            let outcome = self.hooks.sempred(&text, &ctx);
-                            self.emit(TraceEvent::Sempred {
-                                pred: text,
-                                token_index: start_index,
-                                outcome,
-                            });
+                            let outcome = self.hooks.sempred(text, &ctx);
+                            if self.observed() {
+                                self.emit(TraceEvent::Sempred {
+                                    pred: text.to_string(),
+                                    token_index: start_index,
+                                    outcome,
+                                });
+                            }
                             if outcome {
                                 chosen = Some(alt);
                                 break;
@@ -1386,7 +1431,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
         let entry = self.atn().synpred_entry[sp.0 as usize];
         let rule = self.grammar.synpred_rules[sp.0 as usize];
         self.speculating += 1;
-        let result = self.interpret(entry, rule, false);
+        let result = self.interpret(entry, rule, false, &mut Vec::new());
         self.speculating -= 1;
         let consumed = (self.tokens.index() - start) as u64;
         self.tokens.seek(start);
@@ -2135,6 +2180,70 @@ mod tests {
             sink.events().any(|e| matches!(e, TraceEvent::SyntaxError { .. })),
             "the failure must appear in the trace"
         );
+    }
+
+    /// Predicate hooks get the grammar's predicate text, from prediction
+    /// (`isTypeName`, which decides between `stat`'s first two
+    /// alternatives) and from a rule body (`bang`, mid-sequence), at the
+    /// same positions whether or not anything listens; each traced
+    /// `Sempred` event carries that text, position and outcome.
+    #[test]
+    fn sempred_hooks_and_trace_see_the_predicate_text() {
+        use crate::trace::RingSink;
+        use std::{cell::RefCell, rc::Rc};
+        let src = r#"
+            grammar SP;
+            s : stat+ ;
+            stat : {isTypeName}? ID ID ';' | ID ID ';' | '!' {bang}? ID ';' ;
+            ID : [a-zA-Z_]+ ;
+            WS : [ ]+ -> skip ;
+        "#;
+        let (g, a) = setup(src);
+        let input = "T x ; ! y ; z w ;";
+        let outcome = |text: &str, at: usize| text == "bang" || at < 5;
+        let run = |sink: Option<&mut RingSink>| {
+            let calls = Rc::new(RefCell::new(Vec::new()));
+            let mut hooks = MapHooks::new();
+            for text in ["isTypeName", "bang"] {
+                let calls = Rc::clone(&calls);
+                hooks.on_pred(text, move |ctx| {
+                    calls.borrow_mut().push((text.to_string(), ctx.token_index));
+                    outcome(text, ctx.token_index)
+                });
+            }
+            let scanner = g.lexer.build().unwrap();
+            let mut parser = Parser::new(&g, &a, lex_stream(&scanner, &a, input).unwrap(), hooks);
+            if let Some(sink) = sink {
+                parser.set_trace_sink(sink);
+            }
+            let tree = parser.parse_to_eof("s").unwrap();
+            let calls = calls.borrow().clone();
+            (tree, calls)
+        };
+        let (plain_tree, plain_calls) = run(None);
+        let mut sink = RingSink::unbounded();
+        let (traced_tree, traced_calls) = run(Some(&mut sink));
+        assert_eq!(plain_tree, traced_tree);
+        assert_eq!(plain_calls, traced_calls, "listening changed the hook calls");
+        // `s`'s loop decision and `stat`'s both evaluate `isTypeName` at
+        // token 0; `bang` runs after the `!` is matched.
+        let calls: Vec<(&str, usize)> =
+            plain_calls.iter().map(|(t, at)| (t.as_str(), *at)).collect();
+        assert_eq!(calls, [("isTypeName", 0), ("isTypeName", 0), ("bang", 4), ("isTypeName", 6)]);
+        let events: Vec<(String, usize, bool)> = sink
+            .events()
+            .filter_map(|e| match e {
+                TraceEvent::Sempred { pred, token_index, outcome } => {
+                    Some((pred.clone(), *token_index, *outcome))
+                }
+                _ => None,
+            })
+            .collect();
+        let want: Vec<(String, usize, bool)> = plain_calls
+            .into_iter()
+            .map(|(text, at)| (text.clone(), at, outcome(&text, at)))
+            .collect();
+        assert_eq!(events, want);
     }
 
     #[test]

@@ -14,7 +14,8 @@
 //!
 //! * [`crate::Parser`] owns an optional [`SpanRecorder`] and feeds it
 //!   from [`Parser::emit`], which builds events only while a recorder
-//!   or a trace sink is attached — enable with
+//!   or a trace sink is attached, and with packed rule spans and leaf
+//!   predictions straight from the parse — enable with
 //!   [`Parser::enable_span_recording`], harvest with
 //!   [`Parser::span_tree`].
 //! * `llstar serve` persists a schema-versioned exemplar capture of a
@@ -258,6 +259,9 @@ enum Op {
     PredictStop,
     /// A `PredictStart` and its `PredictStop` with nothing between.
     PredictLeaf,
+    /// [`Op::PredictLeaf`] packed into one word
+    /// ([`SpanRecorder::predict_leaf`]).
+    LeafWord,
     PredictStopAt,
     BtEnter,
     BtExit,
@@ -272,16 +276,20 @@ enum Op {
     Deleted,
     /// Advance `max_token` only (unknown named kinds).
     Touch,
+    /// A parser rule's enter and exit in one record, logged at exit
+    /// ([`RuleSpan`]).
+    RuleSpan,
 }
 
 impl Op {
     /// Every op, indexed by its discriminant (decodes [`LogRec::unpack`]).
-    const ALL: [Op; 18] = [
+    const ALL: [Op; 20] = [
         Op::RuleEnter,
         Op::RuleExit,
         Op::PredictStart,
         Op::PredictStop,
         Op::PredictLeaf,
+        Op::LeafWord,
         Op::PredictStopAt,
         Op::BtEnter,
         Op::BtExit,
@@ -295,7 +303,23 @@ impl Op {
         Op::Inserted,
         Op::Deleted,
         Op::Touch,
+        Op::RuleSpan,
     ];
+
+    /// The op of a logged record's first word. Ops fit in five bits,
+    /// below [`Op::LeafWord`]'s packed fields.
+    fn of(head: u64) -> Op {
+        Op::ALL[(head & 0x1F) as usize]
+    }
+
+    /// Log words a record with this op takes.
+    fn words(self) -> usize {
+        match self {
+            Op::LeafWord => 1,
+            Op::RuleSpan => 3,
+            _ => 2,
+        }
+    }
 }
 
 /// One buffered fold input. Recording must cost a few nanoseconds per
@@ -303,7 +327,8 @@ impl Op {
 /// overhead — so [`SpanRecorder::apply`] only appends these records,
 /// packed into two machine words ([`LogRec::pack`]); the arena fold
 /// runs lazily at [`SpanRecorder::tree`] time. Positions and extents
-/// saturate at `u32::MAX` tokens.
+/// saturate at `u32::MAX` tokens. The parser's rule spans are packed
+/// differently ([`RuleSpan`]).
 #[derive(Clone, Copy)]
 struct LogRec {
     op: Op,
@@ -350,10 +375,21 @@ struct Fold {
 /// dropped (counted, and the tree is marked truncated), which bounds
 /// both memory and harvest time for pathological inputs.
 pub struct SpanRecorder {
-    log: Vec<[u64; 2]>,
-    /// Records the log may still hold: the cap minus one for every leaf
-    /// record, which stands for two events.
+    /// Packed records of one to three words: [`LogRec::pack`],
+    /// [`Op::LeafWord`] and [`RuleSpan`].
+    log: Vec<u64>,
+    /// Events the fold may still take: `LOG_FACTOR` per arena slot,
+    /// less what earlier flushes folded. A record stands for one or two
+    /// events (a leaf prediction or a rule span two), and
+    /// [`SpanRecorder::flush`] folds exactly the events that fit, in
+    /// event order, so the cap cuts the stream where an event-by-event
+    /// log would.
     log_capacity: usize,
+    /// Words the log may hold: two per event the fold may take, the
+    /// most any record spends per event, so a record the log has no
+    /// room for comes after the cap in event order.
+    log_words: usize,
+    /// Events past the cap.
     log_dropped: u64,
     /// Speculation nesting. Events inside a speculative sub-parse are
     /// suppressed: the sub-parse is represented by its backtrack span
@@ -366,9 +402,10 @@ pub struct SpanRecorder {
     fold: Fold,
 }
 
-/// Buffered records allowed per arena node slot. Opens are roughly
+/// Buffered events allowed per arena node slot. Opens are roughly
 /// 40% of a trace, so 8× leaves headroom for tallies and the closes of
-/// dropped opens: 64 Ki nodes → 512 Ki records ≈ 8 MB ceiling.
+/// dropped opens: 64 Ki nodes → 512 Ki events in at most 1 Mi log
+/// words ≈ 8 MB ceiling.
 const LOG_FACTOR: usize = 8;
 
 impl SpanRecorder {
@@ -388,6 +425,7 @@ impl SpanRecorder {
         SpanRecorder {
             log: Vec::new(),
             log_capacity: capacity.saturating_mul(LOG_FACTOR),
+            log_words: capacity.saturating_mul(LOG_FACTOR).saturating_mul(2),
             log_dropped: 0,
             bt_depth: 0,
             fold,
@@ -398,6 +436,7 @@ impl SpanRecorder {
     pub fn clear(&mut self) {
         self.log.clear();
         self.log_capacity = self.fold.capacity.saturating_mul(LOG_FACTOR);
+        self.log_words = self.log_capacity.saturating_mul(2);
         self.log_dropped = 0;
         self.bt_depth = 0;
         self.fold.nodes.clear();
@@ -407,11 +446,73 @@ impl SpanRecorder {
         self.fold.max_token = 0;
     }
 
-    /// Replays any buffered records through the fold.
+    /// Replays the buffered records through the fold in event order.
+    /// A rule span, logged when its rule exited, opens before the
+    /// record the log had reached when the rule was entered; rules
+    /// entered at the same point open outermost first, that is, in
+    /// reverse order of exit. Only the first `log_capacity` events are
+    /// folded; the rest count as dropped.
     fn flush(&mut self) {
-        for words in self.log.drain(..) {
-            self.fold.step(LogRec::unpack(words));
+        let log = std::mem::take(&mut self.log);
+        let mut opens = Vec::new();
+        let mut at = 0;
+        while at < log.len() {
+            if let Some(span) = RuleSpan::unpack(&log[at..]) {
+                opens.push((at - span.inner, std::cmp::Reverse(at)));
+            }
+            at += Op::of(log[at]).words();
         }
+        opens.sort_unstable();
+        let mut opens = opens.into_iter().peekable();
+        let mut at = 0;
+        while at < log.len() {
+            while let Some((_, std::cmp::Reverse(exit))) = opens.next_if(|&(mark, _)| mark <= at) {
+                let span = RuleSpan::unpack(&log[exit..]).expect("opens index rule spans");
+                if self.admit(1) == 1 {
+                    self.fold.step(LogRec::at(Op::RuleEnter, span.rule, span.start));
+                }
+            }
+            let op = Op::of(log[at]);
+            match op {
+                Op::RuleSpan => {
+                    let span = RuleSpan::unpack(&log[at..]).expect("a rule span");
+                    if self.admit(1) == 1 {
+                        let exit = LogRec::at(Op::RuleExit, span.rule, span.end);
+                        self.fold.step(LogRec { flag: span.ok, alt: span.alt, ..exit });
+                    }
+                }
+                Op::LeafWord | Op::PredictLeaf => {
+                    let rec = match op {
+                        Op::LeafWord => LogRec::unpack_leaf(log[at]),
+                        _ => LogRec::unpack([log[at], log[at + 1]]),
+                    };
+                    match self.admit(2) {
+                        2 => self.fold.step(rec),
+                        // Room for the start only.
+                        1 => self.fold.step(LogRec { op: Op::PredictStart, alt: 0, b: 0, ..rec }),
+                        _ => {}
+                    }
+                }
+                _ => {
+                    if self.admit(1) == 1 {
+                        self.fold.step(LogRec::unpack([log[at], log[at + 1]]));
+                    }
+                }
+            }
+            at += op.words();
+        }
+        self.log = log;
+        self.log.clear();
+        self.log_words = self.log_capacity.saturating_mul(2);
+    }
+
+    /// Takes up to `events` from the event budget; returns how many fit
+    /// and counts the rest as dropped.
+    fn admit(&mut self, events: usize) -> usize {
+        let fit = events.min(self.log_capacity);
+        self.log_capacity -= fit;
+        self.log_dropped += (events - fit) as u64;
+        fit
     }
 
     /// Materialized nodes so far (including the root); folds pending
@@ -435,8 +536,8 @@ impl SpanRecorder {
 
     #[inline]
     fn push(&mut self, rec: LogRec) {
-        if self.log.len() < self.log_capacity {
-            self.log.push(rec.pack());
+        if self.log.len() < self.log_words {
+            self.log.extend_from_slice(&rec.pack());
         } else {
             self.log_dropped += 1;
         }
@@ -567,6 +668,9 @@ impl Fold {
             Op::Inserted => self.tally(pos, |c| c.inserted += 1),
             Op::Deleted => self.tally(pos, |c| c.deleted += 1),
             Op::Touch => {}
+            Op::LeafWord | Op::RuleSpan => {
+                unreachable!("flush decodes packed records")
+            }
         }
     }
 }
@@ -681,19 +785,63 @@ impl SpanRecorder {
         if self.bt_depth > 0 {
             return;
         }
-        let pos = sat(token_index as u64);
-        let len = self.log.len();
-        if len + 1 < self.log_capacity {
-            let b = sat(lookahead).min(LOOKAHEAD_MASK);
-            self.log.push(LogRec { alt, b, ..LogRec::at(Op::PredictLeaf, decision, pos) }.pack());
-            self.log_capacity -= 1;
-        } else if len < self.log_capacity {
-            // Room for the start only: the stop is dropped.
-            self.log.push(LogRec::at(Op::PredictStart, decision, pos).pack());
-            self.log_dropped += 1;
-        } else {
+        if self.log.len() >= self.log_words {
             self.log_dropped += 2;
+            return;
         }
+        let (pos, b) = (sat(token_index as u64), sat(lookahead).min(LOOKAHEAD_MASK));
+        if alt < 1 << 8 && decision < 1 << 13 && b < 1 << 6 {
+            self.log.push(
+                Op::LeafWord as u64
+                    | u64::from(alt) << 5
+                    | u64::from(decision) << 13
+                    | u64::from(b) << 26
+                    | u64::from(pos) << 32,
+            );
+        } else {
+            let rec = LogRec { alt, b, ..LogRec::at(Op::PredictLeaf, decision, pos) };
+            self.log.extend_from_slice(&rec.pack());
+        }
+    }
+
+    /// Where the log stands as a parser rule is entered; hand it back
+    /// to [`SpanRecorder::rule_exit`]. Logs nothing: the entry is
+    /// recorded with the exit.
+    #[inline(always)]
+    pub(crate) fn rule_enter(&self) -> usize {
+        self.log.len()
+    }
+
+    /// Records a parser rule's `RuleEnter` and `RuleExit` events as
+    /// one record: the fold places the entry back at `mark`, the log
+    /// position [`SpanRecorder::rule_enter`] returned, so the tree is
+    /// the one the two events give: one append per rule instead of
+    /// two, and the appends are what recording costs the parse.
+    ///
+    /// A rule entered before the log filled up is logged even past the
+    /// cap, since its entry may still fit; at most one record per rule
+    /// open when the log filled.
+    #[inline(always)]
+    pub(crate) fn rule_exit(
+        &mut self,
+        mark: usize,
+        rule: u32,
+        start: usize,
+        end: usize,
+        alt: u16,
+        ok: bool,
+    ) {
+        if self.bt_depth > 0 {
+            return;
+        }
+        if mark >= self.log_words {
+            self.log_dropped += 2;
+            return;
+        }
+        let head = LogRec { flag: ok, alt, ..LogRec::at(Op::RuleSpan, rule, 0) }.pack()[0];
+        let extent = u64::from(sat(start as u64)) | u64::from(sat(end as u64)) << 32;
+        let inner = (self.log.len() - mark) as u64;
+        self.log.extend_from_slice(&[head, extent, inner]);
     }
 
     /// Bridge for generated parsers, whose trace hook reports
@@ -767,6 +915,39 @@ impl SpanRecorder {
     }
 }
 
+/// A parser rule span as logged by [`SpanRecorder::rule_exit`], three
+/// words: a [`LogRec`] head (op, `ok`, `alt`, rule), `start | end << 32`,
+/// and `inner`.
+struct RuleSpan {
+    rule: u32,
+    alt: u16,
+    ok: bool,
+    start: u32,
+    end: u32,
+    /// Log words between the rule's entry and this record.
+    inner: usize,
+}
+
+impl RuleSpan {
+    /// The rule span at the start of `words`, or `None` for any other
+    /// record.
+    fn unpack(words: &[u64]) -> Option<RuleSpan> {
+        if Op::of(words[0]) != Op::RuleSpan {
+            return None;
+        }
+        let head = LogRec::unpack([words[0], 0]);
+        let (start, end) = (words[1] as u32, (words[1] >> 32) as u32);
+        Some(RuleSpan {
+            rule: head.id,
+            alt: head.alt,
+            ok: head.flag,
+            start,
+            end,
+            inner: words[2] as usize,
+        })
+    }
+}
+
 impl LogRec {
     /// The two words a record is logged as. Composed in registers and
     /// stored whole, a record costs about a nanosecond less than storing
@@ -792,6 +973,18 @@ impl LogRec {
             id: (head >> 32) as u32,
             a: tail as u32,
             b: (tail >> 32) as u32,
+        }
+    }
+
+    /// An [`Op::LeafWord`] as the [`Op::PredictLeaf`] record it packs.
+    fn unpack_leaf(word: u64) -> LogRec {
+        LogRec {
+            op: Op::PredictLeaf,
+            flag: false,
+            alt: (word >> 5) as u16 & 0xFF,
+            id: (word >> 13) as u32 & 0x1FFF,
+            a: (word >> 32) as u32,
+            b: (word >> 26) as u32 & 0x3F,
         }
     }
 
@@ -1347,6 +1540,44 @@ mod tests {
                 assert_eq!((back.alt, back.id, back.a, back.b), (rec.alt, rec.id, rec.a, rec.b));
             }
         }
+    }
+
+    /// Parser-logged rule spans, one-word leaves and a leaf past a
+    /// leaf word's fields fold like the events they stand for.
+    #[test]
+    fn rule_spans_and_leaves_fold_like_their_events() {
+        let mut packed = SpanRecorder::new();
+        let outer = packed.rule_enter();
+        packed.predict_leaf(9_000, 0, 300, 70);
+        let inner = packed.rule_enter();
+        packed.predict_leaf(3, 1, 2, 1);
+        packed.rule_exit(inner, 70_000, 1, 4, 2, true);
+        packed.rule_exit(outer, 5, 0, 6, 1, false);
+        let stop = |decision, token_index, alt, lookahead| TraceEvent::PredictStop {
+            decision,
+            token_index,
+            alt,
+            lookahead,
+            path: Vec::new(),
+            backtracked: false,
+            spec_depth: 0,
+        };
+        let mut events = SpanRecorder::new();
+        for event in [
+            TraceEvent::RuleEnter { rule: 5, token_index: 0 },
+            TraceEvent::PredictStart { decision: 9_000, token_index: 0 },
+            stop(9_000, 0, 300, 70),
+            TraceEvent::RuleEnter { rule: 70_000, token_index: 1 },
+            TraceEvent::PredictStart { decision: 3, token_index: 1 },
+            stop(3, 1, 2, 1),
+            TraceEvent::RuleExit { rule: 70_000, token_index: 4, alt: 2, ok: true },
+            TraceEvent::RuleExit { rule: 5, token_index: 6, alt: 1, ok: false },
+        ] {
+            events.apply(&event);
+        }
+        let tree = packed.tree(Vec::new(), Vec::new());
+        assert_eq!(tree.nodes.len(), 5);
+        assert_eq!(tree.to_json(), events.tree(Vec::new(), Vec::new()).to_json());
     }
 
     #[test]
