@@ -24,7 +24,7 @@
 use crate::report::can_backtrack_by_id;
 use llstar_core::{analyze, CompiledTables, GrammarAnalysis, Json};
 use llstar_packrat::PackratParser;
-use llstar_runtime::{NopHooks, Parser, TokenStream, TraceEvent, TraceSink};
+use llstar_runtime::{NopHooks, Parser, TokenStream};
 use llstar_suite::gauntlet::{self, GauntletEntry, Tier};
 use std::time::{Duration, Instant};
 
@@ -83,32 +83,6 @@ pub struct GauntletRow {
     /// Tokens speculatively consumed then rolled back (packrat engines;
     /// 0 for the interpreter, which predicts before consuming).
     pub wasted_tokens: u64,
-}
-
-/// A trace sink that bins every prediction event by lookahead depth —
-/// cheap enough (one array increment per decision event) to stay
-/// attached during the timed run.
-struct LookaheadHist {
-    bins: [u64; HIST_BINS],
-}
-
-impl LookaheadHist {
-    fn new() -> Self {
-        LookaheadHist { bins: [0; HIST_BINS] }
-    }
-}
-
-impl TraceSink for LookaheadHist {
-    fn event(&mut self, event: &TraceEvent) {
-        if let TraceEvent::PredictStop { lookahead, .. } = event {
-            let bin = (*lookahead as usize).clamp(1, HIST_BINS) - 1;
-            self.bins[bin] += 1;
-        }
-    }
-
-    fn flush(&mut self) -> std::io::Result<()> {
-        Ok(())
-    }
 }
 
 /// Rule-attempt fuel cap for the `packrat-nomemo` engine: high enough
@@ -181,9 +155,8 @@ fn interp_row(
     let mut memo_hits = 0u64;
     let mut elapsed = Duration::ZERO;
 
-    let mut hist = LookaheadHist::new();
+    let mut hist = [0u64; HIST_BINS];
     let mut parser = Parser::new(g, a, TokenStream::new(streams[0].clone()), NopHooks);
-    parser.set_trace_sink(&mut hist);
     for (i, stream) in streams.iter().enumerate() {
         let tokens = TokenStream::new(stream.clone());
         if i > 0 {
@@ -201,6 +174,11 @@ fn interp_row(
             lookahead_sum += ds.la_sum;
             bt_depth_sum += ds.spec_sum;
             max_k = max_k.max(ds.la_max);
+            // `bucket_of` is exact below 16 and lookahead is at least 1:
+            // bucket k holds depth k.
+            for (k, &n) in ds.hist.iter().enumerate().skip(1) {
+                hist[k.min(HIST_BINS) - 1] += n;
+            }
         }
         memo_entries += stats.memo_entries;
         memo_hits += stats.memo_hits;
@@ -224,7 +202,7 @@ fn interp_row(
         avg_k: lookahead_sum as f64 / events.max(1) as f64,
         back_k: bt_depth_sum as f64 / backtracks.max(1) as f64,
         max_k,
-        lookahead_hist: hist.bins.to_vec(),
+        lookahead_hist: hist.to_vec(),
         events,
         backtracks,
         backtrack_pct: 100.0 * backtracks as f64 / events.max(1) as f64,

@@ -8,7 +8,7 @@ use llstar_core::{
 use llstar_grammar::Grammar;
 use llstar_lexer::TokenType;
 use llstar_rng::Rng64;
-use llstar_runtime::{CoverageSink, MapHooks, ParseStats, Parser, TokenStream};
+use llstar_runtime::{MapHooks, ParseStats, Parser, TokenStream};
 use llstar_suite::{self as suite, SuiteEntry};
 use std::time::{Duration, Instant};
 
@@ -596,8 +596,8 @@ pub fn scaling_jsonl(rows: &[ScalingRow]) -> String {
 // ---------------------------------------------------------------------------
 
 /// Coverage-overhead measurements for one suite grammar: the same
-/// generated input parsed bare versus parsed with a `CoverageSink`
-/// folding the trace stream into a coverage map.
+/// generated input parsed bare versus parsed with coverage recording
+/// on ([`Parser::enable_coverage`]).
 #[derive(Debug)]
 pub struct CoverageOverheadRow {
     /// Grammar name.
@@ -606,7 +606,7 @@ pub struct CoverageOverheadRow {
     pub input_tokens: usize,
     /// Bare parse (no sink attached), microseconds.
     pub plain_micros: u64,
-    /// Parse with coverage folding attached, microseconds.
+    /// Parse with coverage recording on, microseconds.
     pub coverage_micros: u64,
     /// Successful non-speculative predictions the map recorded.
     pub predictions: u64,
@@ -642,18 +642,15 @@ pub fn coverage_overhead_run(
         .unwrap_or_else(|e| panic!("{}: bare parse failed: {e}", entry.name));
     let plain_micros = (t0.elapsed().as_micros() as u64).max(1);
 
-    let mut sink = CoverageSink::new(&grammar, &analysis);
     let t0 = Instant::now();
     let mut covered =
         Parser::new(&grammar, &analysis, TokenStream::new(tokens), hooks_for(&entry, &input));
-    covered.set_trace_sink(&mut sink);
+    covered.enable_coverage();
     covered
         .parse_to_eof(entry.start_rule)
         .unwrap_or_else(|e| panic!("{}: coverage parse failed: {e}", entry.name));
+    let map = covered.take_coverage().expect("coverage was enabled");
     let coverage_micros = (t0.elapsed().as_micros() as u64).max(1);
-    drop(covered);
-    sink.finish_file();
-    let map = sink.into_map();
 
     CoverageOverheadRow {
         name: entry.name,
@@ -673,7 +670,7 @@ pub fn coverage_overhead_all(input_lines: usize, seed: u64) -> Vec<CoverageOverh
 /// Formats the coverage-overhead table.
 pub fn format_coverage_overhead(rows: &[CoverageOverheadRow]) -> String {
     let mut out = String::from(
-        "Coverage-collection overhead (bare parse vs trace-folded coverage map)\n\
+        "Coverage-collection overhead (bare parse vs parse recording coverage)\n\
          Grammar      Tokens     Bare  +Coverage  Overhead%  Predictions  Uncovered\n",
     );
     for r in rows {
@@ -1274,7 +1271,7 @@ mod tests {
     fn coverage_overhead_measures_both_sides() {
         let row = coverage_overhead_run(suite::by_name("SQL").unwrap(), 40, 7);
         assert!(row.input_tokens > 50, "{row:?}");
-        assert!(row.predictions > 0, "coverage fold saw no predictions: {row:?}");
+        assert!(row.predictions > 0, "coverage recorder saw no predictions: {row:?}");
         let text = format_coverage_overhead(&[row]);
         assert!(text.contains("SQL"), "{text}");
         let jsonl = coverage_overhead_jsonl(&[coverage_overhead_run(

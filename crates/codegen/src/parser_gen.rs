@@ -41,7 +41,7 @@ struct ParserGen<'a> {
     /// Emit `Hooks::trace` calls around predictors and synpreds.
     trace: bool,
     /// Emit direct coverage counters (`Parser::cov`) mirroring the
-    /// interpreter's `CoverageSink` fold byte-for-byte.
+    /// interpreter's coverage recorder byte-for-byte.
     coverage: bool,
     /// Emit direct metric counters (`Parser::met`) mirroring the
     /// interpreter's always-on `ParseMetrics` byte-for-byte.

@@ -19,9 +19,11 @@
 //! columns come from an optional per-decision nanosecond table measured
 //! by the live runtime and joined in at render time only.
 //!
-//! The fold that fills a map from a `TraceEvent` stream lives in
-//! `llstar-runtime` (`CoverageSink`); generated parsers bump the same
-//! counters directly and render the same JSON byte-for-byte.
+//! The interpreter fills a map directly, where it counts its metrics
+//! (`llstar-runtime`'s `Parser::enable_coverage`), and replays a
+//! recorded `TraceEvent` stream through the same calls
+//! (`replay_coverage`); generated parsers bump the same counters
+//! directly and render the same JSON byte-for-byte.
 
 use crate::analysis::GrammarAnalysis;
 use crate::atn::DecisionId;

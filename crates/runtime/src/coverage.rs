@@ -1,122 +1,139 @@
-//! Filling a [`CoverageMap`] from the runtime: [`CoverageSink`] is a
-//! [`TraceSink`] that folds the event stream into coverage counters
-//! without buffering events — attach it alone for trace-off coverage
-//! collection, or tee it with an export sink (see
-//! [`TeeSink`](crate::trace::TeeSink)).
+//! Filling a [`CoverageMap`] from the runtime. A [`CoverageRecorder`]
+//! holds the map and the decision stack. The interpreter calls it
+//! directly, at the sites where it already bumps its metrics
+//! ([`Parser::enable_coverage`]), the way generated parsers bump their
+//! `Coverage` counters; `llstar coverage <trace.jsonl>` replays a
+//! recorded event stream through the same methods ([`replay_coverage`]).
 //!
-//! The fold's gating rules are the contract that generated parsers
-//! reproduce with direct counters (parity-tested byte-for-byte):
+//! The gating rules are the contract both engines keep (parity-tested
+//! byte-for-byte):
 //!
-//! * Speculation is never counted. The fold tracks depth via
-//!   `backtrack-enter`/`-exit`; only depth-0 `predict-stop` and
-//!   successful depth-0 `rule-exit` events bump counters.
-//! * Failed predictions emit no `predict-stop`, so they leave their
-//!   `predict-start` entry dangling on the decision stack; a later
-//!   successful stop pops through dangling entries. Both engines
-//!   implement exactly this pop-until-match rule, keeping memo
-//!   attribution deterministic even around no-viable errors.
-//! * Memo events are charged to the innermost in-flight prediction
+//! * Speculation is never counted: only depth-0 prediction stops and
+//!   successful depth-0 rule exits bump counters.
+//! * A failed prediction has no stop, so it leaves its start entry
+//!   dangling on the decision stack; a later successful stop pops
+//!   through dangling entries. Both engines implement exactly this
+//!   pop-until-match rule, keeping memo attribution deterministic even
+//!   around no-viable errors. The stack lives as long as the map: one
+//!   recorder spans a whole corpus.
+//! * Memo traffic is charged to the innermost in-flight prediction
 //!   (decision-stack top); with none active (a syntactic-predicate gate
 //!   in a rule body, i.e. one not at the left edge of an alternative, so
-//!   no prediction owns it), they land in the map's unattributed bucket.
+//!   no prediction owns it), it lands in the map's unattributed bucket.
 //!   Memo traffic is counted at any depth — it exists only during
 //!   speculation.
+//!
+//! [`Parser::enable_coverage`]: crate::Parser::enable_coverage
 
-use crate::trace::{TraceEvent, TraceSink};
+use crate::trace::TraceEvent;
 use llstar_core::coverage::CoverageMap;
 use llstar_core::GrammarAnalysis;
 use llstar_grammar::Grammar;
 
-/// A [`TraceSink`] folding events into a [`CoverageMap`]. See the
-/// module docs for the fold's gating rules.
-pub struct CoverageSink {
+/// A [`CoverageMap`] being filled, with the decision stack its memo
+/// attribution needs. See the module docs for the gating rules.
+pub(crate) struct CoverageRecorder {
     map: CoverageMap,
-    spec_depth: u32,
     decision_stack: Vec<u32>,
+    /// The DFA path of the depth-0 prediction in flight, reused across
+    /// predictions (depth-0 predictions never nest).
+    pub(crate) path: Vec<u32>,
 }
 
-impl CoverageSink {
-    /// An empty fold shaped for `grammar` + `analysis`.
-    pub fn new(grammar: &Grammar, analysis: &GrammarAnalysis) -> CoverageSink {
-        CoverageSink {
+impl CoverageRecorder {
+    /// An empty map shaped for `grammar` + `analysis`.
+    pub(crate) fn new(grammar: &Grammar, analysis: &GrammarAnalysis) -> CoverageRecorder {
+        CoverageRecorder {
             map: CoverageMap::for_grammar(grammar, analysis),
-            spec_depth: 0,
             decision_stack: Vec::new(),
+            path: Vec::new(),
         }
     }
 
-    /// Folds one event into the map.
-    pub fn apply(&mut self, event: &TraceEvent) {
-        match event {
-            TraceEvent::PredictStart { decision, .. } => {
-                self.decision_stack.push(*decision);
-            }
-            TraceEvent::PredictStop { decision, lookahead, path, backtracked, .. } => {
-                while let Some(top) = self.decision_stack.pop() {
-                    if top == *decision {
-                        break;
-                    }
-                }
-                if self.spec_depth == 0 {
-                    if let Some(cov) = self.map.decisions.get_mut(*decision as usize) {
-                        cov.record_path(path, *lookahead, *backtracked);
-                    }
-                }
-            }
-            TraceEvent::BacktrackEnter { .. } => self.spec_depth += 1,
-            TraceEvent::BacktrackExit { .. } => {
-                self.spec_depth = self.spec_depth.saturating_sub(1);
-            }
-            TraceEvent::MemoHit { .. } => self.bump_memo(true),
-            TraceEvent::MemoWrite { .. } => self.bump_memo(false),
-            TraceEvent::RuleExit { rule, alt, ok, .. } if self.spec_depth == 0 && *ok => {
-                self.map.record_rule(*rule as usize, *alt);
-            }
-            _ => {}
-        }
+    /// A prediction of `decision` starts.
+    #[inline]
+    pub(crate) fn predict_start(&mut self, decision: u32) {
+        self.decision_stack.push(decision);
     }
 
-    fn bump_memo(&mut self, hit: bool) {
-        match self.decision_stack.last() {
-            Some(&d) => {
-                if let Some(cov) = self.map.decisions.get_mut(d as usize) {
-                    if hit {
-                        cov.memo_hits += 1;
-                    } else {
-                        cov.memo_misses += 1;
-                    }
-                }
+    /// A prediction of `decision` succeeded: pops the decision stack
+    /// through any dangling entries, then — only when `counted`, i.e. at
+    /// speculation depth 0 — records its DFA `path`, `lookahead` and
+    /// whether it `backtracked`.
+    pub(crate) fn predict_stop(
+        &mut self,
+        decision: u32,
+        path: &[u32],
+        lookahead: u64,
+        backtracked: bool,
+        counted: bool,
+    ) {
+        while let Some(top) = self.decision_stack.pop() {
+            if top == decision {
+                break;
             }
-            None => {
-                if hit {
-                    self.map.unattributed_memo_hits += 1;
-                } else {
-                    self.map.unattributed_memo_misses += 1;
-                }
+        }
+        if counted {
+            if let Some(cov) = self.map.decisions.get_mut(decision as usize) {
+                cov.record_path(path, lookahead, backtracked);
             }
         }
     }
 
-    /// Marks one corpus input as folded (bumps the map's file counter).
-    pub fn finish_file(&mut self) {
-        self.map.files += 1;
+    /// `rule` completed through alternative `alt` at speculation depth 0.
+    #[inline]
+    pub(crate) fn rule_exit(&mut self, rule: u32, alt: u16) {
+        self.map.record_rule(rule as usize, alt);
     }
 
-    /// The map folded so far.
-    pub fn map(&self) -> &CoverageMap {
-        &self.map
+    /// One memo-table hit (`hit`) or write, charged to the innermost
+    /// in-flight prediction.
+    pub(crate) fn memo(&mut self, hit: bool) {
+        let (hits, misses) = match self.decision_stack.last() {
+            Some(&d) => match self.map.decisions.get_mut(d as usize) {
+                Some(cov) => (&mut cov.memo_hits, &mut cov.memo_misses),
+                None => return,
+            },
+            None => (&mut self.map.unattributed_memo_hits, &mut self.map.unattributed_memo_misses),
+        };
+        *if hit { hits } else { misses } += 1;
     }
 
-    /// Consumes the sink, returning the folded map.
-    pub fn into_map(self) -> CoverageMap {
+    /// Consumes the recorder, returning the map. Its `files` count is
+    /// left for the caller to set.
+    pub(crate) fn into_map(self) -> CoverageMap {
         self.map
     }
 }
 
-impl TraceSink for CoverageSink {
-    fn event(&mut self, event: &TraceEvent) {
-        self.apply(event);
+/// Replays a recorded event stream into a map shaped for `grammar` +
+/// `analysis`, through the recorder calls the parser makes, tracking
+/// the speculation depth from the stream's backtrack events. The map's
+/// `files` count is left at 0 for the caller to set.
+pub fn replay_coverage(
+    grammar: &Grammar,
+    analysis: &GrammarAnalysis,
+    events: &[TraceEvent],
+) -> CoverageMap {
+    let mut recorder = CoverageRecorder::new(grammar, analysis);
+    let mut depth = 0u32;
+    for event in events {
+        match event {
+            TraceEvent::PredictStart { decision, .. } => recorder.predict_start(*decision),
+            TraceEvent::PredictStop { decision, lookahead, path, backtracked, .. } => {
+                recorder.predict_stop(*decision, path, *lookahead, *backtracked, depth == 0);
+            }
+            TraceEvent::BacktrackEnter { .. } => depth += 1,
+            TraceEvent::BacktrackExit { .. } => depth = depth.saturating_sub(1),
+            TraceEvent::MemoHit { .. } => recorder.memo(true),
+            TraceEvent::MemoWrite { .. } => recorder.memo(false),
+            TraceEvent::RuleExit { rule, alt, ok: true, .. } if depth == 0 => {
+                recorder.rule_exit(*rule, *alt);
+            }
+            _ => {}
+        }
     }
+    recorder.into_map()
 }
 
 #[cfg(test)]
@@ -134,15 +151,15 @@ mod tests {
         (g, a)
     }
 
-    fn fold(g: &Grammar, a: &GrammarAnalysis, input: &str, rule: &str) -> CoverageMap {
+    fn record(g: &Grammar, a: &GrammarAnalysis, input: &str, rule: &str) -> CoverageMap {
         let scanner = g.lexer.build().expect("lexer");
         let tokens = TokenStream::new(scanner.tokenize(input).expect("lexes"));
-        let mut sink = CoverageSink::new(g, a);
         let mut parser = Parser::new(g, a, tokens, NopHooks);
-        parser.set_trace_sink(&mut sink);
+        parser.enable_coverage();
         parser.parse_to_eof(rule).expect("parses");
-        sink.finish_file();
-        sink.into_map()
+        let mut map = parser.take_coverage().expect("coverage was enabled");
+        map.files = 1;
+        map
     }
 
     const DEMO: &str = r#"
@@ -155,9 +172,9 @@ mod tests {
     "#;
 
     #[test]
-    fn fold_counts_alts_paths_and_histograms() {
+    fn recorder_counts_alts_paths_and_histograms() {
         let (g, a) = setup(DEMO);
-        let map = fold(&g, &a, "x = 4", "s");
+        let map = record(&g, &a, "x = 4", "s");
         assert_eq!(map.files, 1);
         // Rule s completed via alternative 2; expr via its only alt.
         assert_eq!(map.rules[0], vec![0, 1]);
@@ -175,8 +192,8 @@ mod tests {
     #[test]
     fn speculation_is_not_counted() {
         // PEG mode: `item`'s decision is not LL(*) (`x` nests), so its
-        // prediction backtracks through `x`, and the fold must gate out
-        // speculative predictions and rule exits.
+        // prediction backtracks through `x`, and the recorder must gate
+        // out speculative predictions and rule exits.
         let peg = r#"
         grammar Peg;
         options { backtrack = true; m = 1; }
@@ -192,7 +209,7 @@ mod tests {
         WS : [ ]+ -> skip ;
         "#;
         let (g, a) = setup(peg);
-        let map = fold(&g, &a, "( a ) ; ( b ) !", "s");
+        let map = record(&g, &a, "( a ) ; ( b ) !", "s");
         // Two non-speculative completions of `item`, one per predicted
         // alternative, and of `x`, two per alternative — the speculative
         // sub-parses inside prediction are not counted.
@@ -207,10 +224,10 @@ mod tests {
     }
 
     #[test]
-    fn merged_folds_equal_single_fold_sums() {
+    fn merged_maps_equal_single_map_sums() {
         let (g, a) = setup(DEMO);
-        let mut left = fold(&g, &a, "x", "s");
-        let right = fold(&g, &a, "y = 2", "s");
+        let mut left = record(&g, &a, "x", "s");
+        let right = record(&g, &a, "y = 2", "s");
         left.merge(&right).expect("same grammar");
         assert_eq!(left.files, 2);
         assert_eq!(left.rules[0], vec![1, 1]);

@@ -27,7 +27,6 @@
 
 #![warn(missing_docs)]
 
-pub mod chrome;
 pub mod coverage;
 pub mod diagnostics;
 pub mod error;
@@ -43,8 +42,7 @@ pub mod trace;
 pub mod tree;
 pub mod visit;
 
-pub use chrome::chrome_trace;
-pub use coverage::CoverageSink;
+pub use coverage::replay_coverage;
 pub use diagnostics::{diagnostics_jsonl, parse_diagnostics_jsonl, render_all, Diagnostic};
 pub use error::{ParseError, ParseErrorKind, ResourceKind};
 pub use hooks::{HookContext, Hooks, MapHooks, NopHooks};
@@ -65,8 +63,7 @@ pub use span::{
 pub use stats::ParseStats;
 pub use stream::TokenStream;
 pub use trace::{
-    parse_jsonl, JsonlSink, MemoKind, NopSink, RingSink, SamplingSink, TeeSink, TraceEvent,
-    TraceSink,
+    parse_jsonl, JsonlSink, MemoKind, NopSink, RingSink, SamplingSink, TraceEvent, TraceSink,
 };
 pub use tree::ParseTree;
 pub use visit::{covered_text, find_rule_nodes, walk, TreeListener};

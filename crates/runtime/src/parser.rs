@@ -10,6 +10,7 @@
 //! caching, Section 6.2), suppress non-`{{…}}` actions (Section 4.3), and
 //! report errors at the deepest token reached (Section 4.4).
 
+use crate::coverage::CoverageRecorder;
 use crate::error::{ParseError, ParseErrorKind, ResourceKind};
 use crate::hooks::{HookContext, Hooks};
 use crate::metrics::{MetricsSnapshot, ParseMetrics};
@@ -19,7 +20,8 @@ use crate::stream::TokenStream;
 use crate::trace::{MemoKind, TraceEvent, TraceSink};
 use crate::tree::ParseTree;
 use llstar_core::{
-    Atn, AtnOp, AtnStateId, DecisionId, GrammarAnalysis, OpEntry, PredSource, NO_TARGET,
+    Atn, AtnOp, AtnStateId, CoverageMap, DecisionId, GrammarAnalysis, OpEntry, PredSource,
+    NO_TARGET,
 };
 use llstar_grammar::{Grammar, RuleId, SynPredId};
 use llstar_lexer::{Token, TokenType};
@@ -185,6 +187,10 @@ pub struct Parser<'g, H: Hooks> {
     /// borrowed like the sink: span trees are harvested per parse by
     /// recycled sessions, which the `'g` sink lifetime can't express.
     spans: Option<crate::span::SpanRecorder>,
+    /// Optional coverage counters ([`Parser::enable_coverage`]), bumped
+    /// directly at the prediction, rule-exit and memo sites. Boxed: the
+    /// map is large and is off on every production parse.
+    coverage: Option<Box<CoverageRecorder>>,
     recovery: Option<RecoveryState>,
     /// Follow states of the rule invocations currently on the call
     /// stack; their expected sets form the dynamic resynchronization set.
@@ -247,6 +253,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
             memoize: grammar.options.memoize,
             trace: None,
             spans: None,
+            coverage: None,
             recovery: None,
             follow_stack: Vec::new(),
             timing: None,
@@ -262,8 +269,9 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// Rearms the parser for a fresh parse over `tokens`: clears all
     /// per-parse state (metrics, recovery tally, memo tables, speculation
     /// depth, recorded errors, resync stack, decision timing) while keeping the grammar,
-    /// analysis, hooks, trace sink, and configuration — memoization,
-    /// recovery strategy and error cap — exactly as set.
+    /// analysis, hooks, trace sink, coverage recorder (whose map spans
+    /// every parse until [`Parser::take_coverage`]), and configuration —
+    /// memoization, recovery strategy and error cap — exactly as set.
     /// Memo-table row allocations stay warm, so a long-lived parser
     /// re-parses many inputs without reallocating its tables. This is
     /// the re-entrant entry point [`crate::ParseSession`], the gauntlet
@@ -414,31 +422,27 @@ impl<'g, H: Hooks> Parser<'g, H> {
     }
 
     /// Routes one runtime event to the span recorder and then the
-    /// attached sink. Returns at once when neither is attached, so an
-    /// unobserved parse builds no events: inlined, the construction at
-    /// each call site folds away behind this check, and with the event
-    /// kind constant the recorder's match folds to one record push.
-    /// Always inlined: with a plain `#[inline]` every site called it out
-    /// of line, and the `spans_overhead` gate read about one point
-    /// higher (2-core x86-64 host).
+    /// attached sink. Returns at once when neither is attached; the
+    /// event is built by `event` only after that check, so an
+    /// unobserved parse builds none and stores nothing for one (taking
+    /// the event itself, the release build stored its fields to the
+    /// stack before the check at the memo sites). With the event kind
+    /// constant, the recorder's match folds to one record push. Always
+    /// inlined: with a plain `#[inline]` every site called it out of
+    /// line, and the `spans_overhead` gate read about one point higher
+    /// (2-core x86-64 host).
     #[inline(always)]
-    fn emit(&mut self, event: TraceEvent) {
-        if !self.observed() {
+    fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
+        if self.spans.is_none() && self.trace.is_none() {
             return;
         }
+        let event = event();
         if let Some(recorder) = self.spans.as_mut() {
             recorder.apply(&event);
         }
         if let Some(sink) = self.trace.as_mut() {
             sink.event(&event);
         }
-    }
-
-    /// Whether anything listens to events. Sites whose event owns an
-    /// allocation check this first, so an unobserved parse makes none.
-    #[inline(always)]
-    fn observed(&self) -> bool {
-        self.spans.is_some() || self.trace.is_some()
     }
 
     /// Starts folding events into a request-scoped span tree (capped at
@@ -453,6 +457,24 @@ impl<'g, H: Hooks> Parser<'g, H> {
         }
     }
 
+    /// Starts recording coverage: per-alternative, DFA-path, lookahead
+    /// and memo counts into a [`CoverageMap`] (see [`crate::coverage`]
+    /// for the gating rules), bumped where the parser counts its
+    /// metrics, with no trace event built. The map accumulates across
+    /// [`Parser::reset`] until [`Parser::take_coverage`].
+    pub fn enable_coverage(&mut self) {
+        if self.coverage.is_none() {
+            self.coverage = Some(Box::new(CoverageRecorder::new(self.grammar, self.analysis)));
+        }
+    }
+
+    /// Stops recording coverage and returns the map recorded since
+    /// [`Parser::enable_coverage`]; `None` if it was not enabled. The
+    /// map's `files` count is left at 0 for the caller to set.
+    pub fn take_coverage(&mut self) -> Option<CoverageMap> {
+        self.coverage.take().map(|recorder| recorder.into_map())
+    }
+
     /// Whether span recording is enabled.
     pub fn span_recording_enabled(&self) -> bool {
         self.spans.is_some()
@@ -464,15 +486,22 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// [`Parser::enable_span_recording`] was called.
     pub fn span_tree(&mut self) -> Option<crate::span::SpanTree> {
         let recorder = self.spans.as_mut()?;
-        let rules: Vec<String> = self.grammar.rules.iter().map(|r| r.name.clone()).collect();
-        let decisions: Vec<String> = self
-            .analysis
-            .atn
-            .decisions
-            .iter()
-            .map(|d| self.grammar.rule(d.rule).name.clone())
-            .collect();
+        let (rules, decisions) = crate::span::labels(self.grammar, self.analysis);
         Some(recorder.tree(rules, decisions))
+    }
+
+    /// Counts one memo hit (`hit`) or write in the metrics and, when
+    /// recording, the coverage map.
+    #[inline(always)]
+    fn count_memo(&mut self, hit: bool) {
+        if hit {
+            self.metrics.record_memo_hit();
+        } else {
+            self.metrics.record_memo_write();
+        }
+        if let Some(coverage) = self.coverage.as_deref_mut() {
+            coverage.memo(hit);
+        }
     }
 
     /// [`Parser::predict`] behind the optional wall-clock accumulator.
@@ -647,7 +676,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
         token_index: usize,
         kind: impl FnOnce(&Self) -> ParseErrorKind,
     ) -> ParseError {
-        self.emit(TraceEvent::SyntaxError { token_index, speculating: self.speculating > 0 });
+        let speculating = self.speculating > 0;
+        self.emit(|| TraceEvent::SyntaxError { token_index, speculating });
         if self.speculating > 0 {
             if self.furthest_error.as_ref().is_none_or(|f| token_index > f.token_index) {
                 self.furthest_error = Some(ParseError { kind: kind(self), token, token_index });
@@ -682,8 +712,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
         if self.speculating > 0 && self.memoize {
             let m = self.memo_rules.get(rule.index(), start);
             if m != MemoEntry::Vacant {
-                self.metrics.record_memo_hit();
-                self.emit(TraceEvent::MemoHit {
+                self.count_memo(true);
+                self.emit(|| TraceEvent::MemoHit {
                     kind: MemoKind::Rule,
                     id: rule.index() as u32,
                     token_index: start,
@@ -731,6 +761,11 @@ impl<'g, H: Hooks> Parser<'g, H> {
         if let Some(recorder) = self.spans.as_mut() {
             recorder.rule_exit(mark, rule.index() as u32, start, end, alt, ok);
         }
+        if let Some(coverage) = self.coverage.as_deref_mut() {
+            if ok && self.speculating == 0 {
+                coverage.rule_exit(rule.index() as u32, alt);
+            }
+        }
         if let Some(sink) = self.trace.as_mut() {
             let rule = rule.index() as u32;
             sink.event(&TraceEvent::RuleExit { rule, token_index: end, alt, ok });
@@ -740,8 +775,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 Ok(_) => MemoEntry::Success(self.tokens.index()),
                 Err(_) => MemoEntry::Failure,
             };
-            self.metrics.record_memo_write();
-            self.emit(TraceEvent::MemoWrite {
+            self.count_memo(false);
+            self.emit(|| TraceEvent::MemoWrite {
                 kind: MemoKind::Rule,
                 id: rule.index() as u32,
                 token_index: start,
@@ -908,13 +943,12 @@ impl<'g, H: Hooks> Parser<'g, H> {
                     let text = grammar.sempred_text(p);
                     let ctx = self.hook_ctx();
                     let outcome = self.hooks.sempred(text, &ctx);
-                    if self.observed() {
-                        self.emit(TraceEvent::Sempred {
-                            pred: text.to_string(),
-                            token_index: self.tokens.index(),
-                            outcome,
-                        });
-                    }
+                    let token_index = self.tokens.index();
+                    self.emit(|| TraceEvent::Sempred {
+                        pred: text.to_string(),
+                        token_index,
+                        outcome,
+                    });
                     if outcome {
                         state = next as usize;
                     } else {
@@ -975,17 +1009,34 @@ impl<'g, H: Hooks> Parser<'g, H> {
         let dfa = &analysis.decisions[decision.index()].dfa;
         let compiled = analysis.tables.get(decision.index());
         let start_index = self.tokens.index();
-        // The DFA path is only materialized when a sink is listening; the
-        // span recorder doesn't need it.
         let tracing = self.trace.is_some();
+        // The DFA path is only materialized for a trace sink and for
+        // coverage at depth 0, the only depth it counts; the span
+        // recorder doesn't need it. Depth-0 predictions never nest, so
+        // the coverage recorder lends them all one buffer.
+        let mut path = Vec::new();
+        let mut with_path = tracing;
+        if let Some(coverage) = self.coverage.as_deref_mut() {
+            coverage.predict_start(decision.0);
+            if self.speculating == 0 {
+                path = std::mem::take(&mut coverage.path);
+                path.clear();
+                with_path = true;
+            }
+        }
+        if with_path {
+            path.push(0);
+        }
         // Without a trace sink the start is emitted only once something
         // else happens inside the prediction; a bare DFA walk reaches the
         // span recorder as one leaf record.
         let mut started = tracing;
         if started {
-            self.emit(TraceEvent::PredictStart { decision: decision.0, token_index: start_index });
+            self.emit(|| TraceEvent::PredictStart {
+                decision: decision.0,
+                token_index: start_index,
+            });
         }
-        let mut path: Vec<u32> = if tracing { vec![0] } else { Vec::new() };
         let mut cur = 0usize;
         let mut depth: u64 = 0;
         let mut backtracked = false;
@@ -1020,14 +1071,14 @@ impl<'g, H: Hooks> Parser<'g, H> {
             if let Some(target) = target {
                 depth += 1;
                 cur = target;
-                if tracing {
+                if with_path {
                     path.push(target as u32);
                 }
                 continue;
             }
             if !started {
                 started = true;
-                self.emit(TraceEvent::PredictStart {
+                self.emit(|| TraceEvent::PredictStart {
                     decision: decision.0,
                     token_index: start_index,
                 });
@@ -1045,13 +1096,11 @@ impl<'g, H: Hooks> Parser<'g, H> {
                             let text = self.grammar.sempred_text(p);
                             let ctx = self.hook_ctx();
                             let outcome = self.hooks.sempred(text, &ctx);
-                            if self.observed() {
-                                self.emit(TraceEvent::Sempred {
-                                    pred: text.to_string(),
-                                    token_index: start_index,
-                                    outcome,
-                                });
-                            }
+                            self.emit(|| TraceEvent::Sempred {
+                                pred: text.to_string(),
+                                token_index: start_index,
+                                outcome,
+                            });
                             if outcome {
                                 chosen = Some(alt);
                                 break;
@@ -1093,8 +1142,11 @@ impl<'g, H: Hooks> Parser<'g, H> {
             deepest_spec,
         );
         let lookahead = depth.max(1).max(deepest_spec);
+        if let Some(coverage) = self.coverage.as_deref_mut() {
+            coverage.predict_stop(decision.0, &path, lookahead, backtracked, self.speculating == 0);
+        }
         if started {
-            self.emit(TraceEvent::PredictStop {
+            self.emit(|| TraceEvent::PredictStop {
                 decision: decision.0,
                 token_index: start_index,
                 alt,
@@ -1103,8 +1155,13 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 backtracked,
                 spec_depth: deepest_spec,
             });
-        } else if let Some(recorder) = self.spans.as_mut() {
-            recorder.predict_leaf(decision.0, start_index, alt, lookahead);
+        } else {
+            if let Some(recorder) = self.spans.as_mut() {
+                recorder.predict_leaf(decision.0, start_index, alt, lookahead);
+            }
+            if let Some(coverage) = self.coverage.as_deref_mut() {
+                coverage.path = path;
+            }
         }
         Ok(alt)
     }
@@ -1156,7 +1213,10 @@ impl<'g, H: Hooks> Parser<'g, H> {
         if r.errors.len() >= r.max_errors {
             return Err(err);
         }
-        self.emit(TraceEvent::Recover { token_index: err.token_index, rule: rule.index() as u32 });
+        self.emit(|| TraceEvent::Recover {
+            token_index: err.token_index,
+            rule: rule.index() as u32,
+        });
         let r = self.recovery.as_mut().expect("recovery enabled");
         r.recoveries += 1;
         r.errors.push(err);
@@ -1190,7 +1250,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// [`TraceEvent::SyncSkip`].
     fn note_skip(&mut self, token_index: usize, skipped: u64) {
         self.recovery.as_mut().expect("recovery enabled").tokens_skipped += skipped;
-        self.emit(TraceEvent::SyncSkip { token_index, skipped });
+        self.emit(|| TraceEvent::SyncSkip { token_index, skipped });
     }
 
     /// Consumes tokens until the resynchronization set (or EOF), emitting
@@ -1236,10 +1296,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
             Repair::Abort => Err(err),
             Repair::InsertToken => {
                 self.recovery.as_mut().expect("recovery enabled").tokens_inserted += 1;
-                self.emit(TraceEvent::TokenInserted {
-                    token_index: self.tokens.index(),
-                    ttype: required.0,
-                });
+                let token_index = self.tokens.index();
+                self.emit(|| TraceEvent::TokenInserted { token_index, ttype: required.0 });
                 if build {
                     children
                         .push(ParseTree::Error { tokens: Vec::new(), inserted: Some(required) });
@@ -1249,7 +1307,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
             Repair::DeleteToken => {
                 let bad = self.tokens.consume();
                 self.recovery.as_mut().expect("recovery enabled").tokens_deleted += 1;
-                self.emit(TraceEvent::TokenDeleted {
+                self.emit(|| TraceEvent::TokenDeleted {
                     token_index: err.token_index,
                     ttype: bad.ttype.0,
                 });
@@ -1413,8 +1471,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
         if self.memoize {
             let m = self.memo_preds.get(sp.0 as usize, start);
             if m != MemoEntry::Vacant {
-                self.metrics.record_memo_hit();
-                self.emit(TraceEvent::MemoHit {
+                self.count_memo(true);
+                self.emit(|| TraceEvent::MemoHit {
                     kind: MemoKind::SynPred,
                     id: sp.0,
                     token_index: start,
@@ -1427,7 +1485,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
             }
         }
         let nesting = self.speculating;
-        self.emit(TraceEvent::BacktrackEnter { synpred: sp.0, token_index: start, nesting });
+        self.emit(|| TraceEvent::BacktrackEnter { synpred: sp.0, token_index: start, nesting });
         let entry = self.atn().synpred_entry[sp.0 as usize];
         let rule = self.grammar.synpred_rules[sp.0 as usize];
         self.speculating += 1;
@@ -1440,8 +1498,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 Ok(_) => MemoEntry::Success(start + consumed as usize),
                 Err(_) => MemoEntry::Failure,
             };
-            self.metrics.record_memo_write();
-            self.emit(TraceEvent::MemoWrite {
+            self.count_memo(false);
+            self.emit(|| TraceEvent::MemoWrite {
                 kind: MemoKind::SynPred,
                 id: sp.0,
                 token_index: start,
@@ -1449,7 +1507,10 @@ impl<'g, H: Hooks> Parser<'g, H> {
             });
             self.memo_preds.set(sp.0 as usize, start, value);
         }
-        self.emit(TraceEvent::BacktrackExit {
+        // Back at the entry's nesting; read here, not kept across the
+        // sub-parse, so an unobserved parse spills nothing for it.
+        let nesting = self.speculating;
+        self.emit(|| TraceEvent::BacktrackExit {
             synpred: sp.0,
             token_index: start,
             matched: result.is_ok(),

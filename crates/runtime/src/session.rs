@@ -213,10 +213,9 @@ mod tests {
     #[test]
     fn reuse_fully_resets_per_parse_state() {
         // Regression guard for [`Parser::reset`]: every per-parse
-        // observability surface — stats, trace stream, metric counters
-        // (and therefore the coverage fold, which is a pure function of
-        // the trace) — must come out of a recycled session identical to
-        // a fresh parser's, with zero carry-over between inputs.
+        // observability surface — stats, trace stream, metric counters —
+        // must come out of a recycled session identical to a fresh
+        // parser's, with zero carry-over between inputs.
         let (g, a) = setup();
         let input = "a = b + 1;\nc = a + a + 2;";
 
@@ -262,8 +261,7 @@ mod tests {
         );
 
         // Both trace windows must replay the fresh parser's stream
-        // exactly (this is also what pins the coverage fold, which is
-        // derived from the trace).
+        // exactly.
         drop(session);
         let events = session_sink.into_events();
         assert_eq!(events.len(), fresh_trace.len() * 2, "trace stream length diverged");

@@ -22,7 +22,9 @@
 //!   request's tree when the request is slow, errors, or trips its
 //!   budget.
 //! * `llstar spans` renders a tree as a text timeline/flamegraph or a
-//!   Chrome `trace_event` document ([`SpanTree::to_chrome_trace`]).
+//!   Chrome `trace_event` document ([`SpanTree::to_chrome_trace`], the
+//!   one Chrome exporter: `llstar coverage --chrome-trace` folds its
+//!   event stream into a tree the same way, [`SpanTree::from_trace`]).
 //!
 //! The module also hosts the W3C `traceparent` helpers used by the
 //! serve transports: lenient parsing (garbage never faults a request)
@@ -36,6 +38,8 @@
 use crate::trace::TraceEvent;
 use llstar_core::json::{quote, Json};
 use llstar_core::schema::SPANS_STREAM_VERSION;
+use llstar_core::GrammarAnalysis;
+use llstar_grammar::Grammar;
 use std::fmt::Write as _;
 
 /// Arena cap for one recorded parse: past this many nodes the recorder
@@ -101,6 +105,24 @@ pub struct SpanCounters {
     pub deleted: u64,
     /// Semantic predicates evaluated.
     pub sempreds: u64,
+}
+
+impl SpanCounters {
+    /// The non-zero tallies by wire name, in serialization order.
+    pub fn nonzero(&self) -> impl Iterator<Item = (&'static str, u64)> {
+        [
+            ("memo-hits", self.memo_hits),
+            ("memo-writes", self.memo_writes),
+            ("errors", self.errors),
+            ("recovers", self.recovers),
+            ("skipped", self.skipped),
+            ("inserted", self.inserted),
+            ("deleted", self.deleted),
+            ("sempreds", self.sempreds),
+        ]
+        .into_iter()
+        .filter(|&(_, value)| value != 0)
+    }
 }
 
 /// One span. Nodes live in a flat arena ([`SpanTree::nodes`]) in
@@ -188,20 +210,8 @@ impl SpanNode {
         if self.synthetic {
             out.push_str(",\"synthetic\":true");
         }
-        let c = &self.counters;
-        for (key, value) in [
-            ("memo-hits", c.memo_hits),
-            ("memo-writes", c.memo_writes),
-            ("errors", c.errors),
-            ("recovers", c.recovers),
-            ("skipped", c.skipped),
-            ("inserted", c.inserted),
-            ("deleted", c.deleted),
-            ("sempreds", c.sempreds),
-        ] {
-            if value != 0 {
-                let _ = write!(out, ",\"{key}\":{value}");
-            }
+        for (key, value) in self.counters.nonzero() {
+            let _ = write!(out, ",\"{key}\":{value}");
         }
         out.push('}');
         out
@@ -1000,6 +1010,15 @@ impl Default for SpanRecorder {
     }
 }
 
+/// The display-name tables [`SpanRecorder::tree`] takes for `grammar`:
+/// rule index → rule name, and decision index → owning-rule name.
+pub fn labels(grammar: &Grammar, analysis: &GrammarAnalysis) -> (Vec<String>, Vec<String>) {
+    let rules = grammar.rules.iter().map(|r| r.name.clone()).collect();
+    let decisions =
+        analysis.atn.decisions.iter().map(|d| grammar.rule(d.rule).name.clone()).collect();
+    (rules, decisions)
+}
+
 /// A finished span tree: the flat node arena plus display-name tables
 /// and truncation accounting. The serialized form is one JSON object
 /// (`"type":"spans"`), deterministic for a given grammar + input.
@@ -1019,9 +1038,10 @@ pub struct SpanTree {
 
 impl SpanTree {
     /// Builds a tree by folding a replayed event stream (no grammar at
-    /// hand: label tables stay empty).
+    /// hand: label tables stay empty; see [`labels`]). The node capacity
+    /// holds one span per event, so the tree is never truncated.
     pub fn from_trace(events: &[TraceEvent]) -> SpanTree {
-        let mut recorder = SpanRecorder::new();
+        let mut recorder = SpanRecorder::with_capacity(events.len() + 1);
         for event in events {
             recorder.apply(event);
         }
@@ -1144,20 +1164,8 @@ impl SpanTree {
         if node.synthetic {
             parts.push("synthetic".into());
         }
-        let c = &node.counters;
-        for (name, value) in [
-            ("memo-hits", c.memo_hits),
-            ("memo-writes", c.memo_writes),
-            ("errors", c.errors),
-            ("recovers", c.recovers),
-            ("skipped", c.skipped),
-            ("inserted", c.inserted),
-            ("deleted", c.deleted),
-            ("sempreds", c.sempreds),
-        ] {
-            if value != 0 {
-                parts.push(format!("{name}={value}"));
-            }
+        for (name, value) in node.counters.nonzero() {
+            parts.push(format!("{name}={value}"));
         }
         parts.join(" ")
     }
@@ -1223,7 +1231,9 @@ impl SpanTree {
     /// (openable in `chrome://tracing` / Perfetto). Timestamps are
     /// depth-first ordinals — span trees carry no wall-clock — so the
     /// export shows structure and relative effort, with token extents
-    /// in each span's `args`. B/E pairs are emitted strictly nested.
+    /// and the span's non-zero [`SpanCounters`] (memo, semantic
+    /// predicate and recovery tallies) in each span's `args`. B/E pairs
+    /// are emitted strictly nested.
     pub fn to_chrome_trace(&self) -> String {
         // Children of each node, in arena (depth-first open) order.
         let mut children: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
@@ -1246,13 +1256,19 @@ impl SpanTree {
                 let _ = write!(
                     out,
                     "{{\"name\":{},\"cat\":{},\"ph\":\"B\",\"ts\":{ts},\"pid\":1,\"tid\":1,\
-                     \"args\":{{\"start\":{},\"end\":{}{}}}}}",
+                     \"args\":{{\"start\":{},\"end\":{}",
                     quote(&self.label(node)),
                     quote(node.kind.name()),
                     node.start,
                     node.end,
-                    if node.synthetic { ",\"synthetic-close\":true" } else { "" }
                 );
+                if node.synthetic {
+                    out.push_str(",\"synthetic-close\":true");
+                }
+                for (key, value) in node.counters.nonzero() {
+                    let _ = write!(out, ",\"{key}\":{value}");
+                }
+                out.push_str("}}");
                 ts += 1;
             }
             if let Some(&child) = children[idx].get(cursor) {
@@ -1367,6 +1383,7 @@ mod tests {
     use crate::hooks::NopHooks;
     use crate::parser::Parser;
     use crate::stream::TokenStream;
+    use crate::trace::MemoKind;
     use llstar_core::analyze;
     use llstar_grammar::{apply_peg_mode, parse_grammar};
 
@@ -1527,6 +1544,21 @@ mod tests {
         ];
         let tree = SpanTree::from_trace(&events);
         assert!(tree.render(0).contains("rule5"), "{}", tree.render(0));
+    }
+
+    #[test]
+    fn chrome_export_carries_span_counters_in_args() {
+        let events = vec![
+            TraceEvent::RuleEnter { rule: 0, token_index: 0 },
+            TraceEvent::MemoHit { kind: MemoKind::Rule, id: 0, token_index: 0, success: true },
+            TraceEvent::Sempred { pred: "p".into(), token_index: 1, outcome: true },
+            TraceEvent::RuleExit { rule: 0, token_index: 2, alt: 1, ok: true },
+        ];
+        let chrome = SpanTree::from_trace(&events).to_chrome_trace();
+        assert!(
+            chrome.contains("\"args\":{\"start\":0,\"end\":2,\"memo-hits\":1,\"sempreds\":1}"),
+            "{chrome}"
+        );
     }
 
     #[test]

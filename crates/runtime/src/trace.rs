@@ -575,23 +575,6 @@ impl TraceSink for SamplingSink<'_> {
     }
 }
 
-/// Forwards every event to both inner sinks (e.g. a [`JsonlSink`] for
-/// export plus a coverage fold, in one traced parse).
-pub struct TeeSink<'a>(pub &'a mut dyn TraceSink, pub &'a mut dyn TraceSink);
-
-impl TraceSink for TeeSink<'_> {
-    fn event(&mut self, event: &TraceEvent) {
-        self.0.event(event);
-        self.1.event(event);
-    }
-
-    fn flush(&mut self) -> io::Result<()> {
-        let first = self.0.flush();
-        self.1.flush()?;
-        first
-    }
-}
-
 /// Parses a JSONL event stream (as emitted by [`JsonlSink`]) back into
 /// events; blank lines are skipped. A leading schema header line is
 /// validated and consumed; headerless streams (pre-versioning exports,

@@ -50,9 +50,9 @@ use llstar_core::{
 use llstar_grammar::{apply_peg_mode, parse_grammar, validate, Grammar};
 use llstar_runtime::metrics::MetricExemplar;
 use llstar_runtime::{
-    derive_trace_id, parse_traceparent, CoverageSink, Diagnostic, MetricsHandle, MetricsRegistry,
-    MetricsSnapshot, NopHooks, ParseError, ParseErrorKind, ParseSession, Parser, ResourceKind,
-    SessionError, SpanTree, TokenStream,
+    derive_trace_id, parse_traceparent, Diagnostic, MetricsHandle, MetricsRegistry,
+    MetricsSnapshot, NopHooks, ParseError, ParseErrorKind, ParseSession, ResourceKind,
+    SessionError, SpanTree,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::{SocketAddr, TcpStream};
@@ -911,7 +911,29 @@ fn handle_request(
             };
             (body, SpanSource::session(lexed, SpanSource::Strict))
         }
-        ServeMode::Coverage => coverage_body(shared, entry, lane, &request, started),
+        ServeMode::Coverage => {
+            // Recorded on the strict session for this request only: the
+            // map is taken whatever the outcome, so coverage is off again
+            // before the next request.
+            lane.strict.parser().enable_coverage();
+            let outcome = lane.strict.parse_to_eof(&request.input);
+            let mut map = lane.strict.parser().take_coverage().expect("coverage was enabled");
+            let lexed = !matches!(outcome, Err(SessionError::Lex(_)));
+            if lexed {
+                let micros = started.elapsed().as_micros() as u64;
+                lane.handle.record(lane.strict.parser().metrics(), micros);
+            }
+            let body = match outcome {
+                Ok(_) => {
+                    map.files = 1;
+                    ServeBody::Coverage {
+                        report: Json::parse(&map.to_json()).expect("coverage is valid json"),
+                    }
+                }
+                Err(e) => session_error_body(&e),
+            };
+            (body, SpanSource::session(lexed, SpanSource::Strict))
+        }
     };
     let parse_us = started.elapsed().as_micros() as u64;
     maybe_capture(shared, lane, &request, &trace_id, &body, spans, queue_us, parse_us);
@@ -943,9 +965,6 @@ enum SpanSource {
     Strict,
     /// The lane's recovering session.
     Recovering,
-    /// Coverage mode's one-off parser does not outlive the request, so
-    /// its tree (if any) was folded before the parser was dropped.
-    Folded(Option<SpanTree>),
 }
 
 impl SpanSource {
@@ -985,7 +1004,6 @@ fn maybe_capture(
         SpanSource::None => None,
         SpanSource::Strict => lane.strict.parser().span_tree(),
         SpanSource::Recovering => lane.recovering.parser().span_tree(),
-        SpanSource::Folded(tree) => tree,
     };
     // Lex failures carry no tree (the parser never ran); an empty tree
     // keeps the capture format uniform.
@@ -1037,70 +1055,6 @@ fn persist_capture(
     let path = dir.join(format!("{trace_id}.spans.jsonl"));
     std::fs::write(&path, doc).ok()?;
     Some(path)
-}
-
-/// Coverage mode runs a one-shot traced parse: the coverage fold is a
-/// pure function of the trace stream, and the recycled sessions keep no
-/// sink attached (a sink's borrow would pin the session for its whole
-/// life). The scanner rebuild per request is acceptable for this
-/// observability-oriented mode; metrics still record into the lane.
-fn coverage_body(
-    shared: &Shared,
-    entry: &GrammarEntry,
-    lane: &mut Lane<'_>,
-    request: &ServeRequest,
-    started: Instant,
-) -> (ServeBody, SpanSource) {
-    let scanner = match entry.grammar.lexer.build() {
-        Ok(s) => s,
-        Err(e) => {
-            return (
-                ServeBody::Error { kind: ServeErrorKind::Lex, message: format!("lexer: {e}") },
-                SpanSource::None,
-            )
-        }
-    };
-    let tokens = match scanner.tokenize(&request.input) {
-        Ok(t) => t,
-        Err(e) => {
-            return (
-                ServeBody::Error { kind: ServeErrorKind::Lex, message: format!("lex error: {e}") },
-                SpanSource::None,
-            )
-        }
-    };
-    let mut sink = CoverageSink::new(&entry.grammar, &entry.analysis);
-    let mut parser =
-        Parser::new(&entry.grammar, &entry.analysis, TokenStream::new(tokens), NopHooks);
-    parser.set_fuel_limit(shared.opts.fuel);
-    parser.set_timeout(shared.opts.timeout);
-    if shared.opts.spans_enabled() {
-        parser.enable_span_recording();
-    }
-    parser.set_trace_sink(&mut sink);
-    let outcome = parser.parse_to_eof(&entry.start_rule);
-    lane.handle.record(parser.metrics(), started.elapsed().as_micros() as u64);
-    // The parser dies here, before the capture triggers are judged. A
-    // failed parse always triggers a capture; a successful one only
-    // through the slow threshold.
-    let spans = if outcome.is_err() || shared.opts.slow_threshold_us.is_some() {
-        parser.span_tree()
-    } else {
-        None
-    };
-    drop(parser);
-    let body = match outcome {
-        Ok(_) => {
-            sink.finish_file();
-            ServeBody::Coverage {
-                report: Json::parse(&sink.map().to_json()).expect("coverage is valid json"),
-            }
-        }
-        Err(e) => {
-            ServeBody::Error { kind: parse_error_kind(&e), message: format!("parse error: {e}") }
-        }
-    };
-    (body, SpanSource::Folded(spans))
 }
 
 #[cfg(test)]

@@ -30,10 +30,9 @@ use llstar::core::{
 };
 use llstar::grammar::{apply_peg_mode, parse_grammar, validate, Grammar};
 use llstar::runtime::{
-    chrome_trace, diagnostics_jsonl, parse_metrics_jsonl, parse_text, parse_text_recovering_traced,
-    parse_text_traced, render_all, validate_prometheus, CoverageSink, Diagnostic, MetricsSnapshot,
-    NopHooks, ParseSession, ParseStats, Parser, RingSink, SpanTree, TeeSink, TokenStream,
-    TraceEvent, TraceSink,
+    diagnostics_jsonl, parse_metrics_jsonl, parse_text, parse_text_recovering_traced,
+    parse_text_traced, render_all, replay_coverage, validate_prometheus, Diagnostic,
+    MetricsSnapshot, NopHooks, ParseSession, ParseStats, RingSink, SpanTree, TraceEvent, TraceSink,
 };
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
@@ -1049,67 +1048,60 @@ fn coverage(
     flags: &Flags,
 ) -> Result<(), String> {
     let corpus_path = Path::new(corpus);
-    let mut sink = CoverageSink::new(grammar, analysis);
-    let mut ring = RingSink::unbounded();
     let mut nanos: Option<Vec<u64>> = None;
 
-    if corpus_path.extension().is_some_and(|e| e == "jsonl") {
-        // Offline replay: fold a recorded event stream. No wall-clock
-        // data exists here, so the hotspot table ranks by predictions.
+    // The map, and the events a Chrome trace is rendered from.
+    let (map, events) = if corpus_path.extension().is_some_and(|e| e == "jsonl") {
+        // Offline replay of a recorded event stream. No wall-clock data
+        // exists here, so the hotspot table ranks by predictions.
         let text = std::fs::read_to_string(corpus_path).map_err(|e| format!("{corpus}: {e}"))?;
         let events = replay_events(&text).map_err(|e| format!("{corpus}: {e}"))?;
-        for event in &events {
-            sink.event(event);
-        }
-        sink.finish_file();
+        let mut map = replay_coverage(grammar, analysis, &events);
+        map.files = 1;
         eprintln!("replayed {} trace events from {corpus}", events.len());
-        if let Some(out) = &flags.chrome_trace {
-            std::fs::write(out, chrome_trace(&events, grammar, analysis))
-                .map_err(|e| format!("{}: {e}", out.display()))?;
-            eprintln!("wrote Chrome trace to {}", out.display());
-        }
+        (map, events)
     } else {
         let files = corpus_inputs(corpus_path)?;
         let rule = match &flags.rule {
             Some(name) => name.clone(),
             None => grammar.start_rule().name.clone(),
         };
-        let want_events = flags.chrome_trace.is_some();
+        // One session, so one coverage map and decision stack, spans
+        // the whole corpus.
+        let mut ring = RingSink::unbounded();
+        let mut session =
+            ParseSession::new(grammar, analysis, &rule, NopHooks).map_err(|e| e.to_string())?;
+        session.parser().enable_coverage();
+        session.parser().enable_decision_timing();
+        if flags.chrome_trace.is_some() {
+            session.parser().set_trace_sink(&mut ring);
+        }
         let mut total = vec![0u64; analysis.atn.decisions.len()];
         for file in &files {
             let input =
                 std::fs::read_to_string(file).map_err(|e| format!("{}: {e}", file.display()))?;
-            let scanner = grammar.lexer.build().map_err(|e| e.to_string())?;
-            let tokens =
-                scanner.tokenize(&input).map_err(|e| format!("{}: {e}", file.display()))?;
-            let mut tee;
-            let mut parser = Parser::new(grammar, analysis, TokenStream::new(tokens), NopHooks);
-            parser.enable_decision_timing();
-            if want_events {
-                tee = TeeSink(&mut ring, &mut sink);
-                parser.set_trace_sink(&mut tee);
-            } else {
-                parser.set_trace_sink(&mut sink);
-            }
-            parser.parse_to_eof(&rule).map_err(|e| format!("{}: {e}", file.display()))?;
-            if let Some(per_file) = parser.decision_nanos() {
+            session.parse_to_eof(&input).map_err(|e| format!("{}: {e}", file.display()))?;
+            if let Some(per_file) = session.parser().decision_nanos() {
                 for (slot, t) in total.iter_mut().zip(per_file) {
                     *slot += t;
                 }
             }
-            sink.finish_file();
         }
         nanos = Some(total);
         eprintln!("parsed {} corpus file(s) from rule {rule}", files.len());
-        if let Some(out) = &flags.chrome_trace {
-            let events: Vec<TraceEvent> = ring.events().cloned().collect();
-            std::fs::write(out, chrome_trace(&events, grammar, analysis))
-                .map_err(|e| format!("{}: {e}", out.display()))?;
-            eprintln!("wrote Chrome trace to {}", out.display());
-        }
+        let mut map = session.parser().take_coverage().expect("coverage was enabled");
+        map.files = files.len() as u64;
+        drop(session);
+        (map, ring.into_events())
+    };
+    if let Some(out) = &flags.chrome_trace {
+        let mut tree = SpanTree::from_trace(&events);
+        (tree.rules, tree.decisions) = llstar::runtime::span::labels(grammar, analysis);
+        std::fs::write(out, tree.to_chrome_trace())
+            .map_err(|e| format!("{}: {e}", out.display()))?;
+        eprintln!("wrote Chrome trace to {}", out.display());
     }
 
-    let map = sink.into_map();
     print!("{}", map.annotated_report(grammar, analysis));
     println!();
     print!("{}", map.hotspot_table(grammar, analysis, nanos.as_deref()));

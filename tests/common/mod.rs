@@ -5,7 +5,7 @@
 
 use llstar::core::{analyze, CompiledTables, GrammarAnalysis};
 use llstar::grammar::{apply_peg_mode, parse_grammar, Grammar};
-use llstar::runtime::{CoverageSink, JsonlSink, NopHooks, Parser, TeeSink, TokenStream};
+use llstar::runtime::{JsonlSink, NopHooks, ParseTree, Parser, TokenStream, TraceSink};
 use std::io;
 use std::path::{Path, PathBuf};
 use std::process::Command;
@@ -134,33 +134,16 @@ pub fn interp_corpus(
     a: &GrammarAnalysis,
     inputs: &[(String, String)],
 ) -> InterpArtifacts {
-    let compiled = a.tables.enabled();
-    let start = g.start_rule().name.clone();
-    let scanner = g.lexer.build().expect("lexer builds");
-    let mut trees = String::new();
     let mut trace_sink = JsonlSink::new(Vec::<u8>::new());
-    let mut cov_sink = CoverageSink::new(g, a);
-    for (label, text) in inputs {
-        let tokens = scanner
-            .tokenize(text)
-            .unwrap_or_else(|e| panic!("{label}: corpus input fails to lex: {e}"));
-        // Trace pass.
-        let mut parser = Parser::new(g, a, TokenStream::new(tokens.clone()), NopHooks);
-        parser.set_trace_sink(&mut trace_sink);
-        let tree = parser
-            .parse_to_eof(&start)
-            .unwrap_or_else(|e| panic!("parse failed on {label} (compiled={compiled}): {e}"));
+    let mut trees = String::new();
+    let start = g.start_rule().name.clone();
+    let coverage = corpus_coverage(g, a, &start, inputs, &mut trace_sink, |tree, _| {
         trees.push_str(&format!("{tree:?}\n"));
-        // Coverage pass (separate parse: one sink slot per parser).
-        let mut parser = Parser::new(g, a, TokenStream::new(tokens), NopHooks);
-        parser.set_trace_sink(&mut cov_sink);
-        parser.parse_to_eof(&start).expect("coverage pass parses");
-        cov_sink.finish_file();
-    }
+    });
     let (bytes, err) = trace_sink.into_inner();
     assert!(err.is_none(), "trace sink I/O error");
     let trace = String::from_utf8(bytes).expect("trace is utf8");
-    InterpArtifacts { trees, trace, coverage: cov_sink.into_map().to_json() }
+    InterpArtifacts { trees, trace, coverage }
 }
 
 /// One interpreter configuration's view of a corpus, sized for MB-scale
@@ -174,8 +157,8 @@ pub struct OracleRun {
 }
 
 /// Parses every `(label, text)` input **once** with the dispatch `a`
-/// selects, teeing the trace stream into both a JSONL fingerprint and the
-/// corpus coverage fold. The single-pass tee matters at gauntlet scale:
+/// selects, streaming the trace into a JSONL fingerprint while the
+/// parser records coverage. The single pass matters at gauntlet scale:
 /// the PEG-mode grammars interpret at tens of kilotokens per second, so
 /// each extra pass over a megabyte corpus costs seconds.
 pub fn oracle_interp_run(
@@ -185,29 +168,48 @@ pub fn oracle_interp_run(
     inputs: &[(String, String)],
     full: bool,
 ) -> OracleRun {
+    let mut jsonl = JsonlSink::new(HashWriter::new());
+    let mut trees = Vec::with_capacity(inputs.len());
+    let coverage = corpus_coverage(g, a, start, inputs, &mut jsonl, |tree, text| {
+        let sexpr = tree.to_sexpr(g, text);
+        trees.push(if full { sexpr } else { fingerprint(sexpr.as_bytes()) });
+    });
+    let (hasher, err) = jsonl.into_inner();
+    assert!(err.is_none(), "trace sink I/O error");
+    OracleRun { trees, trace_fp: hasher.fingerprint(), coverage }
+}
+
+/// Parses every `(label, text)` input from `start` with one parser,
+/// traced into `sink` and recording coverage across the whole corpus,
+/// handing each tree to `each`; returns the coverage JSON.
+fn corpus_coverage(
+    g: &Grammar,
+    a: &GrammarAnalysis,
+    start: &str,
+    inputs: &[(String, String)],
+    sink: &mut dyn TraceSink,
+    mut each: impl FnMut(ParseTree, &str),
+) -> String {
     let compiled = a.tables.enabled();
     let scanner = g.lexer.build().expect("lexer builds");
-    let mut jsonl = JsonlSink::new(HashWriter::new());
-    let mut cov = CoverageSink::new(g, a);
-    let mut trees = Vec::with_capacity(inputs.len());
+    // One parser, reset onto each input, so one coverage map spans them.
+    let empty = scanner.tokenize("").expect("empty input lexes");
+    let mut parser = Parser::new(g, a, TokenStream::new(empty), NopHooks);
+    parser.set_trace_sink(sink);
+    parser.enable_coverage();
     for (label, text) in inputs {
         let tokens = scanner
             .tokenize(text)
             .unwrap_or_else(|e| panic!("{label}: corpus input fails to lex: {e}"));
-        let mut tee = TeeSink(&mut jsonl, &mut cov);
-        let mut parser = Parser::new(g, a, TokenStream::new(tokens), NopHooks);
-        parser.set_trace_sink(&mut tee);
+        parser.reset(TokenStream::new(tokens));
         let tree = parser
             .parse_to_eof(start)
             .unwrap_or_else(|e| panic!("parse failed on {label} (compiled={compiled}): {e}"));
-        drop(parser);
-        cov.finish_file();
-        let sexpr = tree.to_sexpr(g, text);
-        trees.push(if full { sexpr } else { fingerprint(sexpr.as_bytes()) });
+        each(tree, text);
     }
-    let (hasher, err) = jsonl.into_inner();
-    assert!(err.is_none(), "trace sink I/O error");
-    OracleRun { trees, trace_fp: hasher.fingerprint(), coverage: cov.into_map().to_json() }
+    let mut map = parser.take_coverage().expect("coverage was enabled");
+    map.files = inputs.len() as u64;
+    map.to_json()
 }
 
 /// Reads a file set into `(label, text)` pairs for [`interp_corpus`].

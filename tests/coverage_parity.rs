@@ -1,37 +1,39 @@
-//! Interpreted/generated coverage parity: folding the interpreter's
-//! trace stream through `CoverageSink` and running a
-//! coverage-instrumented generated parser over the same corpus must
-//! produce **byte-identical coverage JSON** — same rule-alternative hit
-//! counts, DFA state/edge traversals, lookahead histograms, and
-//! backtrack/memo attribution.
+//! Interpreted/generated coverage parity: the interpreter's coverage
+//! recorder and a coverage-instrumented generated parser run over the
+//! same corpus must produce **byte-identical coverage JSON** — same
+//! rule-alternative hit counts, DFA state/edge traversals, lookahead
+//! histograms, and backtrack/memo attribution. The interpreter's live
+//! recording must also equal `llstar coverage` replaying the trace of
+//! the same parse.
 
 use llstar::codegen::{generate_with, CodegenOptions};
-use llstar::core::GrammarAnalysis;
+use llstar::core::{CoverageMap, GrammarAnalysis, Json};
 use llstar::grammar::Grammar;
-use llstar::runtime::{CoverageSink, NopHooks, Parser, TokenStream};
+use llstar::runtime::{NopHooks, ParseSession};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 mod common;
-use common::{compile_generated, corpus_files, load_grammar, smoke_file, SUITE_STEMS};
+use common::{
+    compile_generated, corpus_files, load_grammar, repo_path, smoke_file, test_dir, SUITE_STEMS,
+};
+use llstar_suite::gauntlet::{by_name, corpus, Tier};
 
-/// Folds the interpreter's trace stream into coverage JSON across a
-/// corpus (the reference side of the parity check).
+/// Records the interpreter's coverage JSON across a corpus (the
+/// reference side of the parity check).
 fn interpreter_coverage(g: &Grammar, a: &GrammarAnalysis, files: &[PathBuf]) -> String {
     let start = g.start_rule().name.clone();
-    let mut sink = CoverageSink::new(g, a);
+    let mut session = ParseSession::new(g, a, &start, NopHooks).expect("lexer builds");
+    session.parser().enable_coverage();
     for file in files {
         let input = std::fs::read_to_string(file).expect("corpus file readable");
-        let scanner = g.lexer.build().expect("lexer builds");
-        let tokens = scanner.tokenize(&input).expect("corpus input lexes");
-        let mut parser = Parser::new(g, a, TokenStream::new(tokens), NopHooks);
-        parser.set_trace_sink(&mut sink);
-        parser
-            .parse_to_eof(&start)
+        session
+            .parse_to_eof(&input)
             .unwrap_or_else(|e| panic!("interpreter failed on {file:?}: {e}"));
-        sink.finish_file();
     }
-    sink.into_map().to_json()
+    let mut map = session.parser().take_coverage().expect("coverage was enabled");
+    map.files = files.len() as u64;
+    map.to_json()
 }
 
 /// Compiles a coverage-instrumented generated parser plus a driver that
@@ -111,5 +113,40 @@ fn corpus_covers_every_alternative() {
             uncovered.is_empty(),
             "{stem}: uncovered alternatives {uncovered:?} (rule index, alt index)"
         );
+    }
+}
+
+/// Runs the `llstar` binary, panicking with its stderr on failure.
+fn llstar(args: &[&str]) {
+    let out = Command::new(env!("CARGO_BIN_EXE_llstar")).args(args).output().expect("llstar runs");
+    assert!(out.status.success(), "llstar {args:?}: {}", String::from_utf8_lossy(&out.stderr));
+}
+
+#[test]
+fn live_coverage_equals_replay_of_the_profile_stream() {
+    let dir = test_dir("coverage_replay");
+    // java8 is PEG mode with memo traffic; sql is LL(*) with predicates.
+    for name in ["java8", "sql"] {
+        let entry = by_name(name).expect("gauntlet grammar");
+        let grammar = repo_path(&format!("grammars/gauntlet/{name}.g")).display().to_string();
+        let rule = entry.start_rule;
+        let mut memo_traffic = 0;
+        for (i, (_, text)) in corpus(&entry, Tier::Smoke, 0xC0DE).iter().enumerate() {
+            let file = |ext: &str| dir.join(format!("{name}-{i}.{ext}")).display().to_string();
+            let (input, profile) = (file("txt"), file("jsonl"));
+            let (live, replayed) = (file("live.json"), file("replayed.json"));
+            std::fs::write(&input, text).unwrap();
+            llstar(&["profile", &grammar, &input, "--rule", rule, "--json", &profile]);
+            llstar(&["coverage", &grammar, &input, "--rule", rule, "--json", &live]);
+            llstar(&["coverage", &grammar, &profile, "--json", &replayed]);
+            let live = std::fs::read_to_string(&live).unwrap();
+            assert_eq!(live, std::fs::read_to_string(&replayed).unwrap(), "{name} input {i}");
+            let map = CoverageMap::from_json(&Json::parse(&live).unwrap()).unwrap();
+            memo_traffic += map.unattributed_memo_hits + map.unattributed_memo_misses;
+            memo_traffic += map.decisions.iter().map(|d| d.memo_hits + d.memo_misses).sum::<u64>();
+        }
+        if name == "java8" {
+            assert!(memo_traffic > 0, "the java8 smoke corpus must exercise the memo sites");
+        }
     }
 }

@@ -82,7 +82,7 @@ fn oracle(name: &str) {
     let full = tier == Tier::Smoke;
 
     // Interpreter, linear vs compiled dispatch: trees, trace stream, and
-    // coverage fold must all be byte-identical.
+    // coverage map must all be byte-identical.
     let linear = oracle_interp_run(&g, &linear(&a), start, &inputs, full);
     let compiled = oracle_interp_run(&g, &a, start, &inputs, full);
     for (i, (label, _)) in inputs.iter().enumerate() {

@@ -11,9 +11,12 @@
 //! [`parse_text`]: llstar::runtime::parse_text
 
 use llstar::core::schema::{ServeBody, ServeErrorKind, ServeMode, ServeRequest};
-use llstar::runtime::{parse_text, NopHooks};
+use llstar::core::Json;
+use llstar::runtime::{parse_text, NopHooks, ParseSession};
 use llstar::serve::{load_grammars, GrammarEntry, ServeOptions, Server};
 use llstar_suite::gauntlet::{all, corpus, Tier};
+
+mod common;
 
 /// Fixed corpus seed, distinct from the oracle's so the suites don't
 /// share generated inputs by accident.
@@ -257,4 +260,91 @@ fn malformed_and_oversized_requests_answer_in_place() {
         responses[2].body
     );
     server.shutdown();
+}
+
+/// A single-worker server (so every request runs on one lane, one
+/// after another) answering `requests`.
+fn serial_answers(fuel: Option<u64>, requests: &[ServeRequest]) -> Vec<ServeBody> {
+    let opts = ServeOptions { workers: 1, fuel, ..ServeOptions::default() };
+    let server = Server::start(gauntlet_entries(), opts).expect("server starts");
+    let responses = server.process_batch(requests.to_vec());
+    server.shutdown();
+    responses.into_iter().map(|r| r.body).collect()
+}
+
+#[test]
+fn coverage_requests_run_on_the_recycled_session_and_leave_it_clean() {
+    let dir = common::test_dir("serve_coverage");
+    let entries = gauntlet_entries();
+    // java8 (PEG mode, memo traffic) and sql (LL(*) with predicates).
+    for ((suite, path), entry) in all().iter().zip(GRAMMAR_PATHS).zip(&entries).take(2) {
+        let small = (suite.generate)(1 << 10, SERVE_SEED);
+        let big = (suite.generate)(16 << 10, SERVE_SEED);
+        // A fuel cap the small input fits in and the big one exhausts.
+        let fuel_of = |input: &str| {
+            let mut session =
+                ParseSession::new(&entry.grammar, &entry.analysis, &entry.start_rule, NopHooks)
+                    .expect("lexer builds");
+            session.parse_to_eof(input).expect("generated input parses");
+            session.parser().fuel_used()
+        };
+        let fuel = 2 * fuel_of(&small);
+        assert!(fuel_of(&big) > fuel, "{}: the big input must exhaust the cap", suite.name);
+        let req = |id, mode, input: &str| ServeRequest {
+            id,
+            grammar: entry.name.clone(),
+            mode,
+            input: input.to_string(),
+            traceparent: None,
+        };
+        let tree = req(0, ServeMode::Tree, &small);
+        let coverage = req(0, ServeMode::Coverage, &small);
+        let fresh_tree = serial_answers(Some(fuel), std::slice::from_ref(&tree)).remove(0);
+        let fresh_coverage = serial_answers(Some(fuel), std::slice::from_ref(&coverage)).remove(0);
+
+        // The coverage body is `llstar coverage --json` for that input.
+        let input_path = dir.join(format!("{}.txt", suite.name));
+        let json_path = dir.join(format!("{}.json", suite.name));
+        std::fs::write(&input_path, &small).unwrap();
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_llstar"))
+            .args(["coverage", path])
+            .arg(&input_path)
+            .args(["--rule", &entry.start_rule, "--json"])
+            .arg(&json_path)
+            .output()
+            .expect("llstar runs");
+        assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+        let cli = Json::parse(std::fs::read_to_string(&json_path).unwrap().trim()).unwrap();
+        match &fresh_coverage {
+            ServeBody::Coverage { report } => assert_eq!(report, &cli, "{}", suite.name),
+            other => panic!("{}: coverage mode answered {other:?}", suite.name),
+        }
+
+        // Coverage requests, one of them out of fuel, change nothing
+        // for the requests after them on the same lane.
+        let answers = serial_answers(
+            Some(fuel),
+            &[
+                tree.clone(),
+                req(1, ServeMode::Coverage, &big),
+                tree.clone(),
+                coverage.clone(),
+                tree.clone(),
+                coverage.clone(),
+                tree,
+            ],
+        );
+        assert!(
+            matches!(&answers[1], ServeBody::Error { kind: ServeErrorKind::FuelExhausted, .. }),
+            "{}: {:?}",
+            suite.name,
+            answers[1]
+        );
+        for i in [0, 2, 4, 6] {
+            assert_eq!(answers[i], fresh_tree, "{}: tree answer {i} differs", suite.name);
+        }
+        for i in [3, 5] {
+            assert_eq!(answers[i], fresh_coverage, "{}: coverage answer {i} differs", suite.name);
+        }
+    }
 }
