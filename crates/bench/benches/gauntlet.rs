@@ -2,42 +2,23 @@
 //! backtrack rate, and memo footprint for every `grammar × engine` cell
 //! of the real-world grammar gauntlet — the paper's Tables 3–4
 //! reproduced over realistic grammars and MB-scale generated corpora.
+//! Its java8 `interp-compiled` and `packrat-memo` rows are the E9
+//! comparison of LL(*) against pure speculation.
 //!
-//! Appends schema-versioned `gauntlet` rows to `BENCH_analysis.json`
-//! (creating the file with the stream header when absent).
-//!
-//! Flags:
-//! - `--quick`: measure the 10 KB smoke corpus instead of the tier
-//!   selected by `LLSTAR_GAUNTLET_TIER` (default 1 MB) — CI smoke mode.
-//! - `--json PATH`: also write a standalone schema-versioned JSONL
-//!   stream (header + gauntlet rows) to `PATH`.
+//! Writes `gauntlet` rows (see `llstar_bench::rows::bench_main` for the
+//! flags). `--quick` measures the 10 KB smoke corpus instead of the tier
+//! selected by `LLSTAR_GAUNTLET_TIER` (default 1 MB). No gate.
 
 use llstar_bench::gauntlet::GAUNTLET_BENCH_SEED;
-use llstar_bench::{format_gauntlet, gauntlet_all, gauntlet_jsonl, report};
+use llstar_bench::rows::{bench_main, BenchRun};
+use llstar_bench::{format_gauntlet, gauntlet_all, gauntlet_jsonl};
 use llstar_suite::gauntlet::Tier;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json needs a path").clone());
-
-    let tier = if quick { Tier::Smoke } else { Tier::from_env() };
-    eprintln!("gauntlet: measuring {} corpora (seed {GAUNTLET_BENCH_SEED:#x})", tier.label());
-    let rows = gauntlet_all(tier, GAUNTLET_BENCH_SEED);
-    println!("{}", format_gauntlet(&rows));
-
-    let jsonl = gauntlet_jsonl(&rows);
-    if let Err(e) = report::append_bench_rows(report::bench_analysis_path(), &jsonl) {
-        eprintln!("warning: could not update BENCH_analysis.json: {e}");
-    } else {
-        eprintln!("appended {} gauntlet rows to BENCH_analysis.json", rows.len());
-    }
-    if let Some(path) = json_path {
-        let stream = report::bench_stream_header() + &jsonl;
-        std::fs::write(&path, stream).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {} gauntlet rows to {path}", rows.len());
-    }
+    bench_main("gauntlet", |quick| {
+        let tier = if quick { Tier::Smoke } else { Tier::from_env() };
+        eprintln!("gauntlet: measuring {} corpora (seed {GAUNTLET_BENCH_SEED:#x})", tier.label());
+        let rows = gauntlet_all(tier, GAUNTLET_BENCH_SEED);
+        BenchRun { table: format_gauntlet(&rows), rows: gauntlet_jsonl(&rows), gate: None }
+    });
 }

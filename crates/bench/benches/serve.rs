@@ -5,23 +5,19 @@
 //! shared metrics registry's latency histogram), and the speedup of
 //! each worker count over the single-worker baseline.
 //!
-//! Appends schema-versioned `serve` rows to `BENCH_analysis.json`
-//! (creating the file with the stream header when absent).
-//!
-//! Flags:
-//! - `--quick`: a small fixed request pool instead of the corpus tier
-//!   selected by `LLSTAR_GAUNTLET_TIER` (default 1 MB) — CI smoke mode.
-//! - `--json PATH`: also write a standalone schema-versioned JSONL
-//!   stream (header + serve rows) to `PATH`.
+//! Writes `serve` rows (see `llstar_bench::rows::bench_main` for the
+//! flags). `--quick` uses a small fixed request pool instead of the
+//! corpus tier selected by `LLSTAR_GAUNTLET_TIER` (default 1 MB). No
+//! gate.
 
 use llstar_bench::gauntlet::GAUNTLET_BENCH_SEED;
-use llstar_bench::report;
+use llstar_bench::measure::timed;
+use llstar_bench::rows::{bench_main, jsonl, BenchRun};
 use llstar_core::schema::{ServeBody, ServeMode, ServeRequest};
 use llstar_core::{analyze, Json};
 use llstar_runtime::hist_quantile;
 use llstar_serve::{GrammarEntry, ServeOptions, Server};
 use llstar_suite::gauntlet::{self, Tier};
-use std::time::Instant;
 
 /// Target size of one request's input.
 const REQUEST_BYTES: usize = 2 << 10;
@@ -105,9 +101,8 @@ fn measure(workers: usize, tier: &'static str, pool: &[ServeRequest]) -> ServeRo
     for response in server.process_batch(warmup) {
         assert!(!matches!(response.body, ServeBody::Error { .. }), "warmup failed: {response:?}");
     }
-    let started = Instant::now();
-    let responses = server.process_batch(pool.to_vec());
-    let wall_micros = started.elapsed().as_micros() as u64;
+    let (responses, wall) = timed(|| server.process_batch(pool.to_vec()));
+    let wall_micros = wall.as_micros() as u64;
     for response in &responses {
         assert!(
             !matches!(response.body, ServeBody::Error { .. }),
@@ -136,9 +131,8 @@ fn measure(workers: usize, tier: &'static str, pool: &[ServeRequest]) -> ServeRo
 }
 
 fn serve_jsonl(rows: &[ServeRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let line = Json::Object(vec![
+    jsonl(rows.iter().map(|r| {
+        Json::Object(vec![
             ("type".into(), Json::Str("serve".into())),
             ("tier".into(), Json::Str(r.tier.to_string())),
             ("workers".into(), Json::Num(r.workers as u64)),
@@ -149,70 +143,52 @@ fn serve_jsonl(rows: &[ServeRow]) -> String {
             ("p50-us".into(), Json::Num(r.p50_us)),
             ("p99-us".into(), Json::Num(r.p99_us)),
             ("speedup-milli".into(), Json::Num(r.speedup_milli)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
+        ])
+    }))
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path = args
-        .iter()
-        .position(|a| a == "--json")
-        .map(|i| args.get(i + 1).expect("--json needs a path").clone());
-
-    let (tier, per_grammar) = if quick {
-        (Tier::Smoke, 16)
-    } else {
-        let tier = Tier::from_env();
-        (tier, (tier.bytes() / REQUEST_BYTES).max(16))
-    };
-    let shared = entries();
-    let pool = request_pool(&shared, per_grammar);
-    drop(shared);
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
-    // Always measure the 1→4 ladder so the scaling table exists even on
-    // small hosts; add 8 only where there are cores to back it. On a
-    // single-core host the speedup column honestly saturates near 1.0x.
-    let mut ladder = vec![1usize, 2, 4];
-    if cores >= 8 {
-        ladder.push(8);
-    }
-    eprintln!(
-        "serve bench: {} requests (~{} KB each, {} tier), workers {ladder:?} on {cores} cores",
-        pool.len(),
-        REQUEST_BYTES >> 10,
-        tier.label()
-    );
-
-    let mut rows: Vec<ServeRow> = Vec::new();
-    for &workers in &ladder {
-        let mut row = measure(workers, tier.label(), &pool);
-        let base = rows.first().map(|r| r.wall_micros).unwrap_or(row.wall_micros);
-        row.speedup_milli = base.saturating_mul(1000) / row.wall_micros.max(1);
+    bench_main("serve", |quick| {
+        let (tier, per_grammar) = if quick {
+            (Tier::Smoke, 16)
+        } else {
+            let tier = Tier::from_env();
+            (tier, (tier.bytes() / REQUEST_BYTES).max(16))
+        };
+        let shared = entries();
+        let pool = request_pool(&shared, per_grammar);
+        drop(shared);
+        let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(4);
+        // Always measure the 1→4 ladder so the scaling table exists even on
+        // small hosts; add 8 only where there are cores to back it. On a
+        // single-core host the speedup column honestly saturates near 1.0x.
+        let mut ladder = vec![1usize, 2, 4];
+        if cores >= 8 {
+            ladder.push(8);
+        }
         eprintln!(
-            "workers {:>2}: {:>8} req/s, p50 {:>6} us, p99 {:>6} us, speedup {:.2}x",
-            row.workers,
-            row.req_per_sec,
-            row.p50_us,
-            row.p99_us,
-            row.speedup_milli as f64 / 1000.0
+            "serve bench: {} requests (~{} KB each, {} tier), workers {ladder:?} on {cores} cores",
+            pool.len(),
+            REQUEST_BYTES >> 10,
+            tier.label()
         );
-        rows.push(row);
-    }
 
-    let jsonl = serve_jsonl(&rows);
-    if let Err(e) = report::append_bench_rows(report::bench_analysis_path(), &jsonl) {
-        eprintln!("warning: could not update BENCH_analysis.json: {e}");
-    } else {
-        eprintln!("appended {} serve rows to BENCH_analysis.json", rows.len());
-    }
-    if let Some(path) = json_path {
-        let stream = report::bench_stream_header() + &jsonl;
-        std::fs::write(&path, stream).unwrap_or_else(|e| panic!("write {path}: {e}"));
-        eprintln!("wrote {} serve rows to {path}", rows.len());
-    }
+        let mut rows: Vec<ServeRow> = Vec::new();
+        let mut table = String::new();
+        for &workers in &ladder {
+            let mut row = measure(workers, tier.label(), &pool);
+            let base = rows.first().map(|r| r.wall_micros).unwrap_or(row.wall_micros);
+            row.speedup_milli = base.saturating_mul(1000) / row.wall_micros.max(1);
+            table.push_str(&format!(
+                "workers {:>2}: {:>8} req/s, p50 {:>6} us, p99 {:>6} us, speedup {:.2}x\n",
+                row.workers,
+                row.req_per_sec,
+                row.p50_us,
+                row.p99_us,
+                row.speedup_milli as f64 / 1000.0
+            ));
+            rows.push(row);
+        }
+        BenchRun { table, rows: serve_jsonl(&rows), gate: None }
+    });
 }

@@ -2,12 +2,17 @@
 //! evaluation section.
 //!
 //! Usage: `report_tables [--lines N] [--seed S] [--table N]...
-//! [--figures] [--analysis-json PATH]`
+//! [--figures] [--json PATH]`
 //! With no selection flags, everything is printed. Whenever the tables
-//! run, the per-decision analysis metrics and runtime summaries are also
-//! written as JSONL to `--analysis-json` (default `BENCH_analysis.json`).
+//! run, the per-decision analysis metrics, runtime summaries, recovery,
+//! scaling and coverage-overhead rows are also written through the
+//! shared row writer: to `--json PATH` as a fresh stream, or else in
+//! place of those record types in `BENCH_analysis.json`.
 
+use llstar_bench::report::REPORT_TYPES;
+use llstar_bench::rows::{bench_analysis_path, write_rows};
 use llstar_bench::{cyclic_figure, figure1, figure2, figure6, report, GrammarRun};
+use std::path::PathBuf;
 
 fn main() {
     let mut lines = 2000usize;
@@ -15,7 +20,7 @@ fn main() {
     let mut tables: Vec<u32> = Vec::new();
     let mut figures = false;
     let mut any_selection = false;
-    let mut analysis_json = String::from("BENCH_analysis.json");
+    let mut json: Option<PathBuf> = None;
 
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -38,15 +43,15 @@ fn main() {
                 figures = true;
                 any_selection = true;
             }
-            "--analysis-json" => {
+            "--json" => {
                 i += 1;
-                analysis_json = args[i].clone();
+                json = Some(PathBuf::from(&args[i]));
             }
             other => {
                 eprintln!("unknown argument {other:?}");
                 eprintln!(
                     "usage: report_tables [--lines N] [--seed S] [--table N]... [--figures] \
-                     [--analysis-json PATH]"
+                     [--json PATH]"
                 );
                 std::process::exit(2);
             }
@@ -97,21 +102,24 @@ fn main() {
         eprintln!("measuring coverage-collection overhead…");
         let coverage = report::coverage_overhead_all(lines, seed);
         println!("{}", report::format_coverage_overhead(&coverage));
-        eprintln!("measuring prediction dispatch (linear scan vs compiled tables)…");
-        let prediction = report::prediction_all(50_000, 5, seed);
-        println!("{}", report::format_prediction(&prediction));
-        let jsonl = report::bench_stream_header()
-            + &report::analysis_jsonl(&runs)
+        eprintln!("measuring memoization on vs off (E10)…");
+        println!("{}", report::format_memo(&report::memo_ablation(seed)));
+        eprintln!("sweeping fixed k against the cyclic LL(*) DFA (E11)…");
+        println!("{}", report::format_fixed_k(&report::fixed_k_sweep()));
+        let rows = report::analysis_jsonl(&runs)
             + &report::recovery_jsonl(&recovery)
             + &report::scaling_jsonl(&scaling)
-            + &report::coverage_overhead_jsonl(&coverage)
-            + &report::prediction_jsonl(&prediction);
-        match std::fs::write(&analysis_json, jsonl) {
+            + &report::coverage_overhead_jsonl(&coverage);
+        let target = json.clone().unwrap_or_else(bench_analysis_path);
+        match write_rows(json.as_deref(), &bench_analysis_path(), &REPORT_TYPES, &rows) {
             Ok(()) => eprintln!(
-                "wrote analysis + recovery + scaling + coverage + prediction metrics to \
-                 {analysis_json}"
+                "wrote analysis + summary + recovery + scaling + coverage rows to {}",
+                target.display()
             ),
-            Err(e) => eprintln!("warning: could not write {analysis_json}: {e}"),
+            Err(e) => {
+                eprintln!("error: could not write {}: {e}", target.display());
+                std::process::exit(1);
+            }
         }
     }
 }

@@ -2,7 +2,7 @@
 //! the mixed lookahead/backtracking DFA of Figure 2, the cyclic DFA from
 //! the end of Section 2, and the ATN of Figure 6.
 
-use llstar_core::{analyze, Atn, DecisionKind, GrammarAnalysis};
+use llstar_core::{analyze, Atn, DecisionAnalysis, DecisionKind, GrammarAnalysis};
 use llstar_grammar::{apply_peg_mode, parse_grammar, Grammar};
 
 /// The Section 2 grammar whose rule `s` yields Figure 1's DFA.
@@ -62,7 +62,12 @@ pub struct Figure {
     pub rendering: String,
 }
 
-fn rule_decision_dfa(grammar: &Grammar, analysis: &GrammarAnalysis, rule: &str) -> String {
+/// The analysis of the decision among `rule`'s productions.
+pub(crate) fn rule_decision<'a>(
+    grammar: &Grammar,
+    analysis: &'a GrammarAnalysis,
+    rule: &str,
+) -> &'a DecisionAnalysis {
     let rid = grammar.rule_id(rule).expect("figure rule exists");
     let d = analysis
         .atn
@@ -70,7 +75,11 @@ fn rule_decision_dfa(grammar: &Grammar, analysis: &GrammarAnalysis, rule: &str) 
         .iter()
         .find(|d| d.rule == rid && d.kind == DecisionKind::RuleAlts)
         .expect("figure rule has a decision");
-    analysis.decision(d.id).dfa.to_pretty(grammar)
+    analysis.decision(d.id)
+}
+
+fn rule_decision_dfa(grammar: &Grammar, analysis: &GrammarAnalysis, rule: &str) -> String {
+    rule_decision(grammar, analysis, rule).dfa.to_pretty(grammar)
 }
 
 /// Builds Figure 1: the LL(*) lookahead DFA for rule `s`.

@@ -19,14 +19,17 @@
 //! engine's own speculation counters (attempts, backtracked
 //! alternatives, wasted tokens) and memo footprint. Timing excludes
 //! lexing everywhere; interpreter engines recycle one parser via
-//! [`Parser::reset`] exactly like the gauntlet oracle does.
+//! [`Parser::reset`] exactly like the gauntlet oracle does. Each row is
+//! one rep: every corpus file is parsed once.
 
+use crate::measure::{parse_pass, timed};
 use crate::report::can_backtrack_by_id;
+use crate::rows::jsonl;
 use llstar_core::{analyze, CompiledTables, GrammarAnalysis, Json};
 use llstar_packrat::PackratParser;
 use llstar_runtime::{NopHooks, Parser, TokenStream};
 use llstar_suite::gauntlet::{self, GauntletEntry, Tier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Corpus seed shared by every gauntlet bench row (distinct from the
 /// oracle's seed: the bench is a measurement, not a replay).
@@ -153,20 +156,13 @@ fn interp_row(
     let mut max_k = 0u64;
     let mut memo_entries = 0u64;
     let mut memo_hits = 0u64;
-    let mut elapsed = Duration::ZERO;
 
     let mut hist = [0u64; HIST_BINS];
+    let mut elapsed = Duration::ZERO;
     let mut parser = Parser::new(g, a, TokenStream::new(streams[0].clone()), NopHooks);
-    for (i, stream) in streams.iter().enumerate() {
-        let tokens = TokenStream::new(stream.clone());
-        if i > 0 {
-            parser.reset(tokens);
-        }
-        let t0 = Instant::now();
-        parser
-            .parse_to_eof(entry.start_rule)
+    for stream in streams {
+        elapsed += parse_pass(&mut parser, stream, entry.start_rule)
             .unwrap_or_else(|e| panic!("{}: interpreter rejected corpus input: {e}", entry.name));
-        elapsed += t0.elapsed();
         let stats = parser.stats();
         for (d, ds) in stats.covered() {
             events_by_d[d] += ds.events;
@@ -237,9 +233,8 @@ fn packrat_row(
         if !memoize {
             parser.set_fuel(NOMEMO_FUEL);
         }
-        let t0 = Instant::now();
-        let result = parser.recognize(entry.start_rule);
-        elapsed += t0.elapsed();
+        let (result, t) = timed(|| parser.recognize(entry.start_rule));
+        elapsed += t;
         // Corpus inputs are in-language: a rejection here can only be
         // the fuel cap firing (asserted for the memoized engine by the
         // oracle suite).
@@ -284,9 +279,8 @@ pub fn gauntlet_all(tier: Tier, seed: u64) -> Vec<GauntletRow> {
 /// `BENCH_analysis.json`). Fractional columns are scaled integers
 /// (`*-milli`), matching the stream's u64-only number model.
 pub fn gauntlet_jsonl(rows: &[GauntletRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let line = Json::Object(vec![
+    jsonl(rows.iter().map(|r| {
+        Json::Object(vec![
             ("type".into(), Json::Str("gauntlet".into())),
             ("grammar".into(), Json::Str(r.grammar.to_string())),
             ("engine".into(), Json::Str(r.engine.to_string())),
@@ -311,11 +305,8 @@ pub fn gauntlet_jsonl(rows: &[GauntletRow]) -> String {
             ("memo-entries".into(), Json::Num(r.memo_entries)),
             ("memo-hits".into(), Json::Num(r.memo_hits)),
             ("wasted-tokens".into(), Json::Num(r.wasted_tokens)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
+        ])
+    }))
 }
 
 /// Renders the rows as the paper's Tables 3–4 (gauntlet edition).

@@ -18,10 +18,12 @@
 //! [`ScannerTables`]: llstar_lexer::ScannerTables
 //! [`Scanner::tokenize_classified`]: llstar_lexer::Scanner::tokenize_classified
 
+use crate::measure::{best_of, timed};
+use crate::rows::jsonl;
 use llstar_core::{analyze, Json};
 use llstar_lexer::{LexPath, Scanner};
 use llstar_suite::gauntlet::{self, GauntletEntry, Tier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Corpus seed shared by every lexing bench row (distinct from the
 /// gauntlet parse bench: lexing measures a different axis).
@@ -58,26 +60,28 @@ pub struct LexingRow {
 /// clock for the whole pass. Results are consumed via `drop` — the
 /// allocation cost of the token vectors is part of what we measure.
 fn pass(scanner: &Scanner, corpus: &[(String, String)], path: LexPath) -> Duration {
-    let start = Instant::now();
-    for (name, text) in corpus {
-        let toks = scanner
-            .tokenize_path(text, path)
-            .unwrap_or_else(|e| panic!("lexing bench corpus {name} failed to lex: {e}"));
-        std::hint::black_box(&toks);
-    }
-    start.elapsed()
+    timed(|| {
+        for (name, text) in corpus {
+            let toks = scanner
+                .tokenize_path(text, path)
+                .unwrap_or_else(|e| panic!("lexing bench corpus {name} failed to lex: {e}"));
+            std::hint::black_box(&toks);
+        }
+    })
+    .1
 }
 
 /// The fused pass: `table` plus parser-class stamping.
 fn pass_fused(scanner: &Scanner, corpus: &[(String, String)], class_map: &[u8]) -> Duration {
-    let start = Instant::now();
-    for (name, text) in corpus {
-        let toks = scanner
-            .tokenize_classified(text, class_map)
-            .unwrap_or_else(|e| panic!("lexing bench corpus {name} failed to lex: {e}"));
-        std::hint::black_box(&toks);
-    }
-    start.elapsed()
+    timed(|| {
+        for (name, text) in corpus {
+            let toks = scanner
+                .tokenize_classified(text, class_map)
+                .unwrap_or_else(|e| panic!("lexing bench corpus {name} failed to lex: {e}"));
+            std::hint::black_box(&toks);
+        }
+    })
+    .1
 }
 
 fn throughput(bytes: usize, tokens: usize, best: Duration) -> (f64, u64) {
@@ -129,16 +133,12 @@ pub fn lexing_run(entry: &GauntletEntry, tier: Tier, seed: u64, reps: usize) -> 
     let mut rows = Vec::new();
     let mut scalar_secs = 0.0f64;
     for &label in LEX_PATHS.iter() {
-        let timed = |corpus: &[(String, String)]| match label {
+        let run = |corpus: &[(String, String)]| match label {
             "scalar" => pass(&scanner, corpus, LexPath::Scalar),
             "table" => pass(&scanner, corpus, LexPath::Table),
             _ => pass_fused(&scanner, corpus, &class_map),
         };
-        let reps = reps.max(1);
-        let mut best = timed(&corpus); // warmup doubles as rep 1
-        for _ in 1..reps {
-            best = best.min(timed(&corpus));
-        }
+        let best = best_of(reps, || run(&corpus)); // rep 1 doubles as the warmup
         let (mb_per_sec, tokens_per_sec) = throughput(bytes, tokens, best);
         let secs = best.as_secs_f64();
         let speedup_milli = if label == "scalar" {
@@ -192,14 +192,12 @@ pub fn format_lexing(rows: &[LexingRow]) -> String {
     out
 }
 
-/// JSONL export: one `lex` line per row, appended to
-/// `BENCH_analysis.json` next to the `gauntlet` and `prediction`
-/// streams. Fractional MB/s is carried as `mbps-milli` (×1000) because
-/// the bench stream is integer-valued.
+/// JSONL export: one `lex` line per row (the `lex` record type in
+/// `BENCH_analysis.json`). Fractional MB/s is carried as `mbps-milli`
+/// (×1000) because the bench stream is integer-valued.
 pub fn lexing_jsonl(rows: &[LexingRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let line = Json::Object(vec![
+    jsonl(rows.iter().map(|r| {
+        Json::Object(vec![
             ("type".into(), Json::Str("lex".into())),
             ("grammar".into(), Json::Str(r.grammar.to_string())),
             ("path".into(), Json::Str(r.path.to_string())),
@@ -210,17 +208,14 @@ pub fn lexing_jsonl(rows: &[LexingRow]) -> String {
             ("mbps-milli".into(), Json::Num((r.mb_per_sec * 1000.0) as u64)),
             ("tokens-per-sec".into(), Json::Num(r.tokens_per_sec)),
             ("speedup-milli".into(), Json::Num(r.speedup_milli)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
+        ])
+    }))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::report::load_bench_rows;
+    use crate::rows::{bench_stream_header, load_bench_rows};
 
     #[test]
     fn smoke_rows_cover_every_grammar_and_path() {
@@ -251,7 +246,7 @@ mod tests {
         let entry = gauntlet::by_name("json").unwrap();
         let rows = lexing_run(&entry, Tier::Smoke, LEXING_BENCH_SEED, 1);
         let jsonl = lexing_jsonl(&rows);
-        let stream = crate::report::bench_stream_header() + &jsonl;
+        let stream = bench_stream_header() + &jsonl;
         let parsed = load_bench_rows(&stream).expect("lex stream parses");
         assert_eq!(parsed.len(), rows.len());
         for (value, row) in parsed.iter().zip(&rows) {

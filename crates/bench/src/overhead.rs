@@ -27,16 +27,18 @@
 //! overhead ([`spans_gate_overhead`]), not each grammar's row in
 //! isolation.
 //!
-//! Both gated pairs share one measurement core ([`paired_reps`]): each
-//! rep times off then on back-to-back, sharing one noise window, and
-//! the gate statistic is the *median of per-rep paired ratios* rather
-//! than a best-of ratio, which on busy machines compares two unrelated
-//! noise floors.
+//! Both gated pairs are measured with [`paired_reps`]: each rep times
+//! off then on back-to-back, sharing one noise window, and the gate
+//! statistic is the *median of per-rep paired ratios* rather than a
+//! best-of ratio, which on busy machines compares two unrelated noise
+//! floors.
 
+use crate::measure::{paired_reps, parse_pass, timed};
+use crate::rows::jsonl;
 use llstar_core::{analyze, GrammarAnalysis, Json};
 use llstar_runtime::{JsonlSink, NopHooks, Parser, SamplingSink, TokenStream, TraceSink};
 use llstar_suite::gauntlet::{self, GauntletEntry, Tier};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Corpus seed for the overhead rows (shared with the gauntlet bench so
 /// the two measure the same inputs).
@@ -100,43 +102,6 @@ impl OverheadRow {
     }
 }
 
-/// One grammar's gated pair, from [`paired_reps`].
-struct Paired {
-    best_off: Duration,
-    best_on: Duration,
-    /// Median of the per-rep `on / off` time ratios.
-    median_ratio: f64,
-}
-
-/// Shared measurement core for the gated off/on pairs. Each rep times
-/// `pass(i, false)` then `pass(i, true)` back-to-back for item `i`, so
-/// both sides share one noise window (CPU steal, frequency scaling) and
-/// the per-rep ratio cancels that common mode. Reps round-robin *across
-/// items*, so one grammar's reps spread over the whole measurement
-/// window instead of a single contiguous block a sustained noise spell
-/// could dominate. The gate statistic is the MEDIAN of each item's rep
-/// ratios — robust to spells that straddle a few pairs — while the best
-/// times feed the throughput columns.
-fn paired_reps(n: usize, reps: u32, mut pass: impl FnMut(usize, bool) -> Duration) -> Vec<Paired> {
-    let mut best = vec![(Duration::MAX, Duration::MAX); n];
-    let mut ratios: Vec<Vec<f64>> = vec![Vec::with_capacity(reps as usize); n];
-    for _ in 0..reps {
-        for i in 0..n {
-            let off = pass(i, false);
-            let on = pass(i, true);
-            best[i] = (best[i].0.min(off), best[i].1.min(on));
-            ratios[i].push(on.as_secs_f64() / off.as_secs_f64());
-        }
-    }
-    best.into_iter()
-        .zip(ratios)
-        .map(|((best_off, best_on), mut r)| {
-            r.sort_by(|x, y| x.partial_cmp(y).expect("finite ratios"));
-            Paired { best_off, best_on, median_ratio: r[r.len() / 2] }
-        })
-        .collect()
-}
-
 fn pass(
     g: &llstar_grammar::Grammar,
     a: &GrammarAnalysis,
@@ -150,19 +115,13 @@ fn pass(
     if let Some(sink) = sink {
         parser.set_trace_sink(sink);
     }
-    let mut elapsed = Duration::ZERO;
-    for (i, stream) in streams.iter().enumerate() {
-        let tokens = TokenStream::new(stream.clone());
-        if i > 0 {
-            parser.reset(tokens);
-        }
-        let t0 = Instant::now();
-        parser
-            .parse_to_eof(start)
-            .unwrap_or_else(|e| panic!("overhead bench: corpus input rejected: {e}"));
-        elapsed += t0.elapsed();
-    }
-    elapsed
+    streams
+        .iter()
+        .map(|stream| {
+            parse_pass(&mut parser, stream, start)
+                .unwrap_or_else(|e| panic!("overhead bench: corpus input rejected: {e}"))
+        })
+        .sum()
 }
 
 /// The metrics matrix: the gated off/on pair for every entry via
@@ -258,22 +217,24 @@ fn span_pass(
     // per-request work a serve worker does — lex *and* parse — because
     // the ≤ 5% budget governs request latency, not the parse loop in
     // isolation.
-    let mut elapsed = Duration::ZERO;
-    for (_, text) in inputs {
-        let t0 = Instant::now();
-        let tokens = scanner
-            .tokenize(text)
-            .unwrap_or_else(|e| panic!("spans overhead bench: corpus input fails to lex: {e}"));
-        parser.reset(TokenStream::new(tokens));
-        parser
-            .parse_to_eof(start)
-            .unwrap_or_else(|e| panic!("spans overhead bench: corpus input rejected: {e}"));
-        if harvest {
-            std::hint::black_box(parser.span_tree().expect("recording enabled"));
-        }
-        elapsed += t0.elapsed();
-    }
-    elapsed
+    inputs
+        .iter()
+        .map(|(_, text)| {
+            let ((), elapsed) = timed(|| {
+                let tokens = scanner.tokenize(text).unwrap_or_else(|e| {
+                    panic!("spans overhead bench: corpus input fails to lex: {e}")
+                });
+                parser.reset(TokenStream::new(tokens));
+                parser
+                    .parse_to_eof(start)
+                    .unwrap_or_else(|e| panic!("spans overhead bench: corpus input rejected: {e}"));
+                if harvest {
+                    std::hint::black_box(parser.span_tree().expect("recording enabled"));
+                }
+            });
+            elapsed
+        })
+        .sum()
 }
 
 /// The spans matrix: the gated off/on pair for every entry via
@@ -338,9 +299,8 @@ pub fn spans_overhead_all(tier: Tier, seed: u64, reps: u32) -> Vec<OverheadRow> 
 }
 
 fn rows_jsonl(rows: &[OverheadRow], record_type: &str) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let line = Json::Object(vec![
+    jsonl(rows.iter().map(|r| {
+        Json::Object(vec![
             ("type".into(), Json::Str(record_type.into())),
             ("grammar".into(), Json::Str(r.grammar.to_string())),
             ("tier".into(), Json::Str(r.tier.to_string())),
@@ -350,11 +310,8 @@ fn rows_jsonl(rows: &[OverheadRow], record_type: &str) -> String {
             ("parse-micros".into(), Json::Num(r.parse_time.as_micros() as u64)),
             ("tokens-per-sec".into(), Json::Num(r.tokens_per_sec)),
             ("overhead-pct-milli".into(), Json::Num((r.overhead_pct * 1000.0) as u64)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
+        ])
+    }))
 }
 
 /// JSONL export — the `metrics_overhead` record type in
@@ -441,7 +398,7 @@ mod tests {
         assert_eq!(rows[0].overhead_pct, 0.0, "baseline row must have zero overhead");
 
         let jsonl = overhead_jsonl(&rows);
-        let parsed = crate::report::load_bench_rows(&jsonl).expect("rows parse");
+        let parsed = crate::rows::load_bench_rows(&jsonl).expect("rows parse");
         assert_eq!(parsed.len(), rows.len());
         for row in &parsed {
             assert_eq!(row.get("type").and_then(Json::as_str), Some("metrics_overhead"));
@@ -472,7 +429,7 @@ mod tests {
         assert_eq!(rows[0].overhead_pct, 0.0, "baseline row must have zero overhead");
 
         let jsonl = spans_overhead_jsonl(&rows);
-        let parsed = crate::report::load_bench_rows(&jsonl).expect("rows parse");
+        let parsed = crate::rows::load_bench_rows(&jsonl).expect("rows parse");
         assert_eq!(parsed.len(), rows.len());
         for row in &parsed {
             assert_eq!(row.get("type").and_then(Json::as_str), Some("spans_overhead"));

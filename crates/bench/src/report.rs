@@ -1,16 +1,29 @@
 //! Regenerates the data behind every table and figure of the paper's
 //! evaluation (Section 6) from the suite grammars and generated inputs.
 
+use crate::figures::{rule_decision, CYCLIC_GRAMMAR};
+use crate::measure::{best_of, paired_reps, parse_pass, timed};
+use crate::rows::jsonl;
 use llstar_core::{
-    analyze, analyze_with, AnalysisOptions, AnalysisRecord, CompiledDfa, DecisionClass,
-    GrammarAnalysis, Json, LookaheadDfa, TokenClasses, NO_TARGET,
+    analyze, analyze_with, AnalysisOptions, AnalysisRecord, DecisionClass, GrammarAnalysis, Json,
 };
-use llstar_grammar::Grammar;
-use llstar_lexer::TokenType;
-use llstar_rng::Rng64;
+use llstar_grammar::{parse_grammar, Grammar};
+use llstar_lexer::Token;
 use llstar_runtime::{MapHooks, ParseStats, Parser, TokenStream};
 use llstar_suite::{self as suite, SuiteEntry};
-use std::time::{Duration, Instant};
+use std::time::Duration;
+
+/// Passes per best-of figure (Table 3 parse time, corrupt-input
+/// recovery, the E10 and E11 sections).
+const REPS: usize = 5;
+
+/// Off/on pairs per overhead figure (recovery and coverage): the
+/// median of 11 paired ratios, as the 1 MB metrics gate uses.
+const PAIRS: u32 = 11;
+
+/// The record types `report_tables` writes to `BENCH_analysis.json`.
+pub const REPORT_TYPES: [&str; 5] =
+    ["analysis", "summary", "recovery", "scaling", "coverage-overhead"];
 
 /// One row of Table 1: grammar decision characteristics.
 #[derive(Debug, Clone)]
@@ -28,7 +41,7 @@ pub struct Table1Row {
     /// Decisions whose DFAs contain syntactic-predicate edges
     /// (potentially backtracking).
     pub backtrack: usize,
-    /// Time to analyze the grammar and build all DFAs.
+    /// Time to analyze the grammar and build all DFAs (best of 5).
     pub analysis_time: Duration,
 }
 
@@ -55,7 +68,7 @@ pub struct Table3Row {
     pub input_lines: usize,
     /// Tokens in the generated input.
     pub input_tokens: usize,
-    /// Wall-clock parse time (excluding lexing).
+    /// Best-of-5 wall-clock parse time (excluding lexing).
     pub parse_time: Duration,
     /// Distinct decisions exercised (the paper's *n*).
     pub decisions_covered: usize,
@@ -94,9 +107,11 @@ pub struct GrammarRun {
     pub grammar: Grammar,
     /// Static analysis results.
     pub analysis: GrammarAnalysis,
+    /// Best-of-5 wall-clock time of [`analyze`] on the grammar.
+    pub analysis_time: Duration,
     /// Runtime statistics from parsing the generated input.
     pub stats: ParseStats,
-    /// Parse wall-clock time.
+    /// Best-of-5 parse wall-clock time through one recycled parser.
     pub parse_time: Duration,
     /// Input size in lines.
     pub input_lines: usize,
@@ -115,31 +130,55 @@ pub fn hooks_for(entry: &SuiteEntry, source: &str) -> MapHooks {
     hooks
 }
 
+/// `entry`'s grammar, its analysis, a generated input of roughly
+/// `lines` lines and that input's tokens.
+fn prepare(
+    entry: &SuiteEntry,
+    lines: usize,
+    seed: u64,
+) -> (Grammar, GrammarAnalysis, String, Vec<Token>) {
+    let grammar = entry.load();
+    let analysis = analyze(&grammar);
+    let input = (entry.generate)(lines, seed);
+    let scanner = grammar.lexer.build().expect("suite lexer builds");
+    let tokens = scanner.tokenize(&input).expect("suite input lexes");
+    (grammar, analysis, input, tokens)
+}
+
+/// A parser over `tokens` with `entry`'s hooks, for [`parse_pass`].
+fn parser_for<'g>(
+    entry: &SuiteEntry,
+    grammar: &'g Grammar,
+    analysis: &'g GrammarAnalysis,
+    input: &str,
+    tokens: &[Token],
+) -> Parser<'g, MapHooks> {
+    Parser::new(grammar, analysis, TokenStream::new(tokens.to_vec()), hooks_for(entry, input))
+}
+
 /// Analyzes `entry`'s grammar and parses a generated input of roughly
-/// `input_lines` lines.
+/// `input_lines` lines, timing each best of 5 passes.
 ///
 /// # Panics
 /// Panics if the bundled grammar fails to lex/parse its own generated
 /// input (a bug in the suite).
 pub fn run_grammar(entry: SuiteEntry, input_lines: usize, seed: u64) -> GrammarRun {
-    let grammar = entry.load();
-    let analysis = analyze(&grammar);
-    let input = (entry.generate)(input_lines, seed);
-    let scanner = grammar.lexer.build().expect("suite lexer builds");
-    let tokens = scanner.tokenize(&input).expect("suite input lexes");
+    let (grammar, analysis, input, tokens) = prepare(&entry, input_lines, seed);
+    let analysis_time = best_of(REPS, || timed(|| analyze(&grammar)).1);
     let input_tokens = tokens.len() - 1;
-    let hooks = hooks_for(&entry, &input);
-    let mut parser = Parser::new(&grammar, &analysis, TokenStream::new(tokens), hooks);
-    let t0 = Instant::now();
-    parser
-        .parse_to_eof(entry.start_rule)
-        .unwrap_or_else(|e| panic!("{}: generated input failed to parse: {e}", entry.name));
-    let parse_time = t0.elapsed();
+    let mut parser = parser_for(&entry, &grammar, &analysis, &input, &tokens);
+    let parse_time = best_of(REPS, || {
+        parse_pass(&mut parser, &tokens, entry.start_rule)
+            .unwrap_or_else(|e| panic!("{}: generated input failed to parse: {e}", entry.name))
+    });
+    // `reset` clears the counters, so these are one parse's.
     let stats = parser.stats();
+    drop(parser);
     GrammarRun {
         entry,
         grammar,
         analysis,
+        analysis_time,
         stats,
         parse_time,
         input_lines: input.lines().count(),
@@ -176,7 +215,7 @@ impl GrammarRun {
             fixed: classes.iter().filter(|c| matches!(c, DecisionClass::Fixed { .. })).count(),
             cyclic: classes.iter().filter(|c| matches!(c, DecisionClass::Cyclic)).count(),
             backtrack: classes.iter().filter(|c| matches!(c, DecisionClass::Backtrack)).count(),
-            analysis_time: self.analysis.elapsed,
+            analysis_time: self.analysis_time,
         }
     }
 
@@ -293,7 +332,7 @@ pub fn analysis_jsonl(runs: &[GrammarRun]) -> String {
             ("backtracks".into(), Json::Num(s.total_backtrack_events())),
             ("memo-hits".into(), Json::Num(s.memo_hits)),
             ("memo-entries".into(), Json::Num(s.memo_entries)),
-            ("analysis-micros".into(), Json::Num(run.analysis.elapsed.as_micros() as u64)),
+            ("analysis-micros".into(), Json::Num(run.analysis_time.as_micros() as u64)),
             ("parse-micros".into(), Json::Num(run.parse_time.as_micros() as u64)),
         ]);
         out.push_str(&summary.to_string());
@@ -309,7 +348,8 @@ pub fn analysis_jsonl(runs: &[GrammarRun]) -> String {
 /// Recovery-overhead measurements for one suite grammar: the same
 /// generated input parsed strict, parsed with recovery enabled (the
 /// clean-input overhead, which should be noise), and parsed with
-/// recovery after ~1% of its tokens were corrupted.
+/// recovery after ~1% of its tokens were corrupted. The clean pair is
+/// measured with [`paired_reps`], the corrupted parse best of 5.
 #[derive(Debug)]
 pub struct RecoveryRow {
     /// Grammar name.
@@ -322,10 +362,13 @@ pub struct RecoveryRow {
     pub diagnostics: usize,
     /// Recovery counters from the corrupted parse.
     pub stats: ParseStats,
-    /// Strict parse of the clean input.
+    /// Strict parse of the clean input (fastest pass).
     pub clean_strict: Duration,
-    /// Recovery-enabled parse of the clean input (overhead vs strict).
+    /// Recovery-enabled parse of the clean input (fastest pass).
     pub clean_recovery: Duration,
+    /// Recovery-on over strict on the clean input, in percent: the
+    /// median of the paired ratios.
+    pub overhead_pct: f64,
     /// Recovery-enabled parse of the corrupted input.
     pub corrupt_recovery: Duration,
 }
@@ -333,7 +376,7 @@ pub struct RecoveryRow {
 /// Corrupts roughly `pct`% of `tokens` (the trailing EOF is never
 /// touched) with seeded delete/duplicate/swap mutations, mirroring
 /// `tests/recovery_fuzz.rs`. Returns the number of sites mutated.
-fn corrupt_tokens(tokens: &mut Vec<llstar_lexer::Token>, pct: f64, seed: u64) -> usize {
+fn corrupt_tokens(tokens: &mut Vec<Token>, pct: f64, seed: u64) -> usize {
     let mut rng = llstar_rng::Rng64::seed_from_u64(seed);
     let body = tokens.len().saturating_sub(1); // keep EOF last
     let sites = ((body as f64 * pct / 100.0).ceil() as usize).max(1);
@@ -371,49 +414,29 @@ fn corrupt_tokens(tokens: &mut Vec<llstar_lexer::Token>, pct: f64, seed: u64) ->
 /// Panics if the clean input fails to parse or the corrupted input
 /// defeats recovery (both would be bugs, and both are fuzzed).
 pub fn recovery_run(entry: SuiteEntry, input_lines: usize, seed: u64) -> RecoveryRow {
-    let grammar = entry.load();
-    let analysis = analyze(&grammar);
-    let input = (entry.generate)(input_lines, seed);
-    let scanner = grammar.lexer.build().expect("suite lexer builds");
-    let tokens = scanner.tokenize(&input).expect("suite input lexes");
+    let (grammar, analysis, input, tokens) = prepare(&entry, input_lines, seed);
     let input_tokens = tokens.len() - 1;
+    let start = entry.start_rule;
 
-    let t0 = Instant::now();
-    let mut strict = Parser::new(
-        &grammar,
-        &analysis,
-        TokenStream::new(tokens.clone()),
-        hooks_for(&entry, &input),
-    );
-    strict
-        .parse_to_eof(entry.start_rule)
-        .unwrap_or_else(|e| panic!("{}: clean input failed strict parse: {e}", entry.name));
-    let clean_strict = t0.elapsed();
-
-    let t0 = Instant::now();
-    let mut clean = Parser::new(
-        &grammar,
-        &analysis,
-        TokenStream::new(tokens.clone()),
-        hooks_for(&entry, &input),
-    );
+    let mut strict = parser_for(&entry, &grammar, &analysis, &input, &tokens);
+    let mut clean = parser_for(&entry, &grammar, &analysis, &input, &tokens);
     clean.enable_recovery(usize::MAX);
-    clean
-        .parse_to_eof(entry.start_rule)
-        .unwrap_or_else(|e| panic!("{}: clean input failed under recovery: {e}", entry.name));
-    let clean_recovery = t0.elapsed();
+    let pair = paired_reps(1, PAIRS, |_, recovering| {
+        let parser = if recovering { &mut clean } else { &mut strict };
+        parse_pass(parser, &tokens, start).unwrap_or_else(|e| {
+            panic!("{}: clean input failed (recovery {recovering}): {e}", entry.name)
+        })
+    })[0];
     assert!(clean.take_errors().is_empty(), "{}: clean input produced diagnostics", entry.name);
 
     let mut corrupted = tokens;
     let corrupted_sites = corrupt_tokens(&mut corrupted, 1.0, seed.wrapping_mul(0x9e37_79b9));
-    let t0 = Instant::now();
-    let mut parser =
-        Parser::new(&grammar, &analysis, TokenStream::new(corrupted), hooks_for(&entry, &input));
+    let mut parser = parser_for(&entry, &grammar, &analysis, &input, &corrupted);
     parser.enable_recovery(usize::MAX);
-    parser
-        .parse_to_eof(entry.start_rule)
-        .unwrap_or_else(|e| panic!("{}: recovery gave up on 1% corruption: {e}", entry.name));
-    let corrupt_recovery = t0.elapsed();
+    let corrupt_recovery = best_of(REPS, || {
+        parse_pass(&mut parser, &corrupted, start)
+            .unwrap_or_else(|e| panic!("{}: recovery gave up on 1% corruption: {e}", entry.name))
+    });
     let diagnostics = parser.take_errors().len();
 
     RecoveryRow {
@@ -422,8 +445,9 @@ pub fn recovery_run(entry: SuiteEntry, input_lines: usize, seed: u64) -> Recover
         corrupted_sites,
         diagnostics,
         stats: parser.stats(),
-        clean_strict,
-        clean_recovery,
+        clean_strict: pair.best_off,
+        clean_recovery: pair.best_on,
+        overhead_pct: 100.0 * (pair.median_ratio - 1.0),
         corrupt_recovery,
     }
 }
@@ -433,12 +457,10 @@ pub fn recovery_all(input_lines: usize, seed: u64) -> Vec<RecoveryRow> {
     suite::all().into_iter().map(|e| recovery_run(e, input_lines, seed)).collect()
 }
 
-/// JSONL export of the recovery rows: one `recovery` line per grammar,
-/// appended to `BENCH_analysis.json` after the analysis records.
+/// JSONL export of the recovery rows: one `recovery` line per grammar.
 pub fn recovery_jsonl(rows: &[RecoveryRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let line = Json::Object(vec![
+    jsonl(rows.iter().map(|r| {
+        Json::Object(vec![
             ("type".into(), Json::Str("recovery".into())),
             ("grammar".into(), Json::Str(r.name.to_string())),
             ("input-tokens".into(), Json::Num(r.input_tokens as u64)),
@@ -451,29 +473,25 @@ pub fn recovery_jsonl(rows: &[RecoveryRow]) -> String {
             ("clean-strict-micros".into(), Json::Num(r.clean_strict.as_micros() as u64)),
             ("clean-recovery-micros".into(), Json::Num(r.clean_recovery.as_micros() as u64)),
             ("corrupt-recovery-micros".into(), Json::Num(r.corrupt_recovery.as_micros() as u64)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
+        ])
+    }))
 }
 
 /// Formats the recovery-overhead table.
 pub fn format_recovery(rows: &[RecoveryRow]) -> String {
     let mut out = String::from(
-        "Recovery overhead (clean input, recovery on vs off; 1% corrupted tokens)\n\
+        "Recovery overhead (clean input, recovery on vs off, median of 11 paired ratios; \
+         1% corrupted tokens)\n\
          Grammar      Tokens  Strict      +Recovery   Overhead%  Sites  Diags  Corrupt-parse\n",
     );
     for r in rows {
-        let overhead = 100.0 * (r.clean_recovery.as_secs_f64() - r.clean_strict.as_secs_f64())
-            / r.clean_strict.as_secs_f64().max(f64::EPSILON);
         out.push_str(&format!(
             "{:<10} {:>8} {:>10.1?} {:>11.1?} {:>9.1} {:>6} {:>6} {:>13.1?}\n",
             r.name,
             r.input_tokens,
             r.clean_strict,
             r.clean_recovery,
-            overhead,
+            r.overhead_pct,
             r.corrupted_sites,
             r.diagnostics,
             r.corrupt_recovery
@@ -525,17 +543,8 @@ pub fn scaling_all(reps: usize) -> Vec<ScalingRow> {
         let mut baseline = 0u64;
         for &threads in &counts {
             let options = AnalysisOptions { threads, ..base.clone() };
-            let micros = (0..reps.max(1))
-                .map(|_| {
-                    let t0 = Instant::now();
-                    let analysis = analyze_with(&grammar, &options);
-                    let elapsed = t0.elapsed().as_micros() as u64;
-                    std::hint::black_box(analysis.decisions.len());
-                    elapsed
-                })
-                .min()
-                .unwrap_or(0)
-                .max(1);
+            let best = best_of(reps, || timed(|| analyze_with(&grammar, &options)).1);
+            let micros = (best.as_micros() as u64).max(1);
             if threads == 1 {
                 baseline = micros;
             }
@@ -574,21 +583,17 @@ pub fn format_scaling(rows: &[ScalingRow]) -> String {
 }
 
 /// JSONL export of the scaling rows: one `scaling` line per
-/// (grammar, thread count), appended to `BENCH_analysis.json`.
+/// (grammar, thread count).
 pub fn scaling_jsonl(rows: &[ScalingRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let line = Json::Object(vec![
+    jsonl(rows.iter().map(|r| {
+        Json::Object(vec![
             ("type".into(), Json::Str("scaling".into())),
             ("grammar".into(), Json::Str(r.name.to_string())),
             ("threads".into(), Json::Num(r.threads as u64)),
             ("micros".into(), Json::Num(r.micros)),
             ("speedup-milli".into(), Json::Num(r.speedup_milli)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
+        ])
+    }))
 }
 
 // ---------------------------------------------------------------------------
@@ -597,17 +602,20 @@ pub fn scaling_jsonl(rows: &[ScalingRow]) -> String {
 
 /// Coverage-overhead measurements for one suite grammar: the same
 /// generated input parsed bare versus parsed with coverage recording
-/// on ([`Parser::enable_coverage`]).
+/// on ([`Parser::enable_coverage`]), measured with [`paired_reps`].
 #[derive(Debug)]
 pub struct CoverageOverheadRow {
     /// Grammar name.
     pub name: &'static str,
     /// Tokens in the input (excluding EOF).
     pub input_tokens: usize,
-    /// Bare parse (no sink attached), microseconds.
+    /// Bare parse, microseconds (fastest pass).
     pub plain_micros: u64,
-    /// Parse with coverage recording on, microseconds.
+    /// Parse with coverage recording on, microseconds (fastest pass).
     pub coverage_micros: u64,
+    /// Coverage-on over bare, in percent: the median of the paired
+    /// ratios.
+    pub overhead_pct: f64,
     /// Successful non-speculative predictions the map recorded.
     pub predictions: u64,
     /// Alternatives the single generated input left uncovered.
@@ -623,40 +631,29 @@ pub fn coverage_overhead_run(
     input_lines: usize,
     seed: u64,
 ) -> CoverageOverheadRow {
-    let grammar = entry.load();
-    let analysis = analyze(&grammar);
-    let input = (entry.generate)(input_lines, seed);
-    let scanner = grammar.lexer.build().expect("suite lexer builds");
-    let tokens = scanner.tokenize(&input).expect("suite input lexes");
-    let input_tokens = tokens.len() - 1;
-
-    let t0 = Instant::now();
-    let mut plain = Parser::new(
-        &grammar,
-        &analysis,
-        TokenStream::new(tokens.clone()),
-        hooks_for(&entry, &input),
-    );
-    plain
-        .parse_to_eof(entry.start_rule)
-        .unwrap_or_else(|e| panic!("{}: bare parse failed: {e}", entry.name));
-    let plain_micros = (t0.elapsed().as_micros() as u64).max(1);
-
-    let t0 = Instant::now();
-    let mut covered =
-        Parser::new(&grammar, &analysis, TokenStream::new(tokens), hooks_for(&entry, &input));
+    let (grammar, analysis, input, tokens) = prepare(&entry, input_lines, seed);
+    let start = entry.start_rule;
+    let mut plain = parser_for(&entry, &grammar, &analysis, &input, &tokens);
+    let mut covered = parser_for(&entry, &grammar, &analysis, &input, &tokens);
+    let pass = |parser: &mut Parser<'_, MapHooks>| {
+        parse_pass(parser, &tokens, start)
+            .unwrap_or_else(|e| panic!("{}: generated input failed to parse: {e}", entry.name))
+    };
+    // One untimed parse fills the map the row reports; the timed passes
+    // then record into a map of their own, which `reset` keeps.
     covered.enable_coverage();
-    covered
-        .parse_to_eof(entry.start_rule)
-        .unwrap_or_else(|e| panic!("{}: coverage parse failed: {e}", entry.name));
+    pass(&mut covered);
     let map = covered.take_coverage().expect("coverage was enabled");
-    let coverage_micros = (t0.elapsed().as_micros() as u64).max(1);
+    covered.enable_coverage();
+    let pair = paired_reps(1, PAIRS, |_, on| pass(if on { &mut covered } else { &mut plain }))[0];
 
+    let micros = |d: Duration| (d.as_micros() as u64).max(1);
     CoverageOverheadRow {
         name: entry.name,
-        input_tokens,
-        plain_micros,
-        coverage_micros,
+        input_tokens: tokens.len() - 1,
+        plain_micros: micros(pair.best_off),
+        coverage_micros: micros(pair.best_on),
+        overhead_pct: 100.0 * (pair.median_ratio - 1.0),
         predictions: map.decisions.iter().map(|d| d.predictions).sum(),
         uncovered_alts: map.uncovered_alts().len(),
     }
@@ -670,19 +667,18 @@ pub fn coverage_overhead_all(input_lines: usize, seed: u64) -> Vec<CoverageOverh
 /// Formats the coverage-overhead table.
 pub fn format_coverage_overhead(rows: &[CoverageOverheadRow]) -> String {
     let mut out = String::from(
-        "Coverage-collection overhead (bare parse vs parse recording coverage)\n\
+        "Coverage-collection overhead (bare parse vs parse recording coverage, median of 11 \
+         paired ratios)\n\
          Grammar      Tokens     Bare  +Coverage  Overhead%  Predictions  Uncovered\n",
     );
     for r in rows {
-        let overhead =
-            100.0 * (r.coverage_micros as f64 - r.plain_micros as f64) / r.plain_micros as f64;
         out.push_str(&format!(
             "{:<10} {:>8} {:>7}us {:>9}us {:>9.1} {:>12} {:>10}\n",
             r.name,
             r.input_tokens,
             r.plain_micros,
             r.coverage_micros,
-            overhead,
+            r.overhead_pct,
             r.predictions,
             r.uncovered_alts
         ));
@@ -691,11 +687,10 @@ pub fn format_coverage_overhead(rows: &[CoverageOverheadRow]) -> String {
 }
 
 /// JSONL export of the coverage-overhead rows: one `coverage-overhead`
-/// line per grammar, appended to `BENCH_analysis.json`.
+/// line per grammar.
 pub fn coverage_overhead_jsonl(rows: &[CoverageOverheadRow]) -> String {
-    let mut out = String::new();
-    for r in rows {
-        let line = Json::Object(vec![
+    jsonl(rows.iter().map(|r| {
+        Json::Object(vec![
             ("type".into(), Json::Str("coverage-overhead".into())),
             ("grammar".into(), Json::Str(r.name.to_string())),
             ("input-tokens".into(), Json::Num(r.input_tokens as u64)),
@@ -703,328 +698,132 @@ pub fn coverage_overhead_jsonl(rows: &[CoverageOverheadRow]) -> String {
             ("coverage-micros".into(), Json::Num(r.coverage_micros)),
             ("predictions".into(), Json::Num(r.predictions)),
             ("uncovered-alts".into(), Json::Num(r.uncovered_alts as u64)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
-    }
-    out
+        ])
+    }))
 }
 
 // ---------------------------------------------------------------------------
-// Prediction dispatch: linear edge scan vs compiled tables
+// E10: memoization ablation; E11: fixed k against the cyclic DFA
 // ---------------------------------------------------------------------------
 
-/// One prediction-dispatch measurement: a single suite decision driven
-/// over the same synthetic token sequence by the linear `edges` scan and
-/// by the dense compiled table.
-#[derive(Debug, Clone)]
-pub struct PredictionRow {
+/// Input size for [`memo_ablation`]: small enough that RatsC still
+/// finishes with memoization off.
+pub const MEMO_LINES: usize = 60;
+
+/// One grammar of the memoization ablation (Section 6.2: "the RatsC
+/// grammar appears not to terminate if we turn off ANTLR memoization
+/// support. In contrast, the VB.NET and C# parsers are fine without
+/// it.").
+#[derive(Debug)]
+pub struct MemoRow {
     /// Grammar name.
     pub name: &'static str,
-    /// Decision index within the grammar.
-    pub decision: usize,
-    /// Decision class (`LL(k)`, `cyclic`, `backtrack`).
-    pub class: String,
-    /// Tokens dispatched per measurement.
-    pub tokens: usize,
-    /// Linear edge-scan dispatch, microseconds (best of reps).
-    pub linear_micros: u64,
-    /// Dense-table dispatch, microseconds (best of reps).
-    pub dense_micros: u64,
-    /// Speedup of the dense table over the linear scan, in thousandths
-    /// (2000 = 2.0×) — integer so the JSONL stays exact.
-    pub speedup_milli: u64,
-    /// Bytes of the compiled table (transition cells plus
-    /// accept/default/predicate side tables).
-    pub table_bytes: usize,
+    /// Tokens in the input (excluding EOF).
+    pub input_tokens: usize,
+    /// Best-of-5 parse with memoization on.
+    pub memo_on: Duration,
+    /// Best-of-5 parse with memoization off.
+    pub memo_off: Duration,
 }
 
-/// One selected decision plus everything needed to drive it: the cloned
-/// DFA, the grammar's class partition, the lowered table, and the token
-/// walk both dispatch strategies share.
-#[derive(Debug, Clone)]
-pub struct PredictionCase {
-    /// Grammar name.
-    pub name: &'static str,
-    /// Decision index within the grammar.
-    pub decision: usize,
-    /// Decision class.
-    pub class: DecisionClass,
-    /// The source DFA (linear-scan baseline).
-    pub dfa: LookaheadDfa,
-    /// The grammar-wide token equivalence classes.
-    pub classes: TokenClasses,
-    /// Dense lowering.
-    pub dense: CompiledDfa,
-    /// The deterministic token walk to dispatch.
-    pub seq: Vec<TokenType>,
-}
-
-/// Generates a deterministic token sequence that keeps the DFA busy: a
-/// seeded random walk over its edges, restarting at the start state on
-/// accept, with a sprinkle of off-edge tokens so the miss path is
-/// exercised too.
-fn prediction_walk(dfa: &LookaheadDfa, vocab: usize, count: usize, seed: u64) -> Vec<TokenType> {
-    let mut rng = Rng64::seed_from_u64(seed);
-    let vocab = vocab.max(1) as u32;
-    let mut cur = 0usize;
-    let mut out = Vec::with_capacity(count);
-    while out.len() < count {
-        let st = &dfa.states[cur];
-        if cur != 0 && (st.accept.is_some() || st.edges.is_empty()) {
-            cur = 0;
-            continue;
-        }
-        if st.edges.is_empty() || rng.gen_bool(0.1) {
-            out.push(TokenType(rng.gen_range(0u32..vocab)));
-            cur = 0;
-        } else {
-            let (tok, target) = st.edges[rng.gen_range(0usize..st.edges.len())];
-            out.push(tok);
-            cur = target;
-        }
-    }
-    out
-}
-
-/// The linear baseline: what `predict` does without compiled tables —
-/// accept check, then an `edges` scan per lookahead token. Returns a
-/// checksum of accepts/misses so the loop cannot be optimized away and
-/// the dispatch variants can be cross-checked.
-pub fn linear_dispatch(dfa: &LookaheadDfa, seq: &[TokenType]) -> u64 {
-    let mut cur = 0usize;
-    let mut outcome = 0u64;
-    for &tok in seq {
-        if dfa.states[cur].accept.is_some() {
-            outcome += 1;
-            cur = 0;
-        }
-        match dfa.states[cur].target(tok) {
-            Some(t) => cur = t,
-            None => {
-                outcome += 2;
-                cur = 0;
-            }
-        }
-    }
-    outcome
-}
-
-/// The compiled path with identical structure: accept check from the
-/// flat side table, then one class-map load and one table lookup.
-pub fn table_dispatch(table: &CompiledDfa, classes: &TokenClasses, seq: &[TokenType]) -> u64 {
-    let mut cur = 0usize;
-    let mut outcome = 0u64;
-    for &tok in seq {
-        if table.accept_alt(cur).is_some() {
-            outcome += 1;
-            cur = 0;
-        }
-        match table.next(cur, classes.class_of(tok)) {
-            NO_TARGET => {
-                outcome += 2;
-                cur = 0;
-            }
-            t => cur = t as usize,
-        }
-    }
-    outcome
-}
-
-fn best_micros(reps: usize, mut f: impl FnMut() -> u64) -> u64 {
-    (0..reps.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            (t0.elapsed().as_micros() as u64).max(1)
-        })
-        .min()
-        .unwrap_or(1)
-}
-
-/// Selects the representative suite decisions: up to one decision per
-/// [`DecisionClass`] variant per grammar (the one with the most DFA
-/// states, so table effects are visible), each paired with a
-/// `tokens`-long seeded walk.
-///
-/// # Panics
-/// Panics if a compiled table disagrees with the linear scan on the
-/// walk — parity is checked once, untimed, at selection time.
-pub fn prediction_cases(tokens: usize, seed: u64) -> Vec<PredictionCase> {
-    let mut cases = Vec::new();
-    for entry in suite::all() {
-        let grammar = entry.load();
-        let analysis = analyze(&grammar);
-        let Some(classes) = analysis.tables.classes() else { continue };
-        let mut picks: Vec<(DecisionClass, usize)> = Vec::new();
-        for d in &analysis.decisions {
-            let class = d.dfa.classify();
-            let key = std::mem::discriminant(&class);
-            match picks.iter_mut().find(|(c, _)| std::mem::discriminant(c) == key) {
-                Some(slot) => {
-                    if d.dfa.states.len() > analysis.decisions[slot.1].dfa.states.len() {
-                        *slot = (class, d.decision.index());
-                    }
-                }
-                None => picks.push((class, d.decision.index())),
-            }
-        }
-        picks.sort_by_key(|&(_, i)| i);
-        for (class, i) in picks {
-            let dfa = &analysis.decisions[i].dfa;
-            if dfa.states.len() < 2 {
-                continue;
-            }
-            let seq = prediction_walk(dfa, grammar.vocab.len(), tokens, seed ^ i as u64);
-            let dense = CompiledDfa::lower(dfa, classes);
-            let expected = linear_dispatch(dfa, &seq);
-            assert_eq!(expected, table_dispatch(&dense, classes, &seq), "dense parity");
-            cases.push(PredictionCase {
-                name: entry.name,
-                decision: i,
-                class,
-                dfa: dfa.clone(),
-                classes: classes.clone(),
-                dense,
-                seq,
-            });
-        }
-    }
-    cases
-}
-
-/// Times every case's two dispatch strategies (best of `reps`).
-pub fn measure_prediction(cases: &[PredictionCase], reps: usize) -> Vec<PredictionRow> {
-    cases
-        .iter()
-        .map(|c| {
-            let linear_micros = best_micros(reps, || linear_dispatch(&c.dfa, &c.seq));
-            let dense_micros = best_micros(reps, || table_dispatch(&c.dense, &c.classes, &c.seq));
-            PredictionRow {
-                name: c.name,
-                decision: c.decision,
-                class: c.class.to_string(),
-                tokens: c.seq.len(),
-                linear_micros,
-                dense_micros,
-                speedup_milli: linear_micros.saturating_mul(1000) / dense_micros.max(1),
-                table_bytes: c.dense.table_bytes(),
-            }
+/// Parses a [`MEMO_LINES`]-line RatsC and CSharp input with
+/// memoization on and off.
+pub fn memo_ablation(seed: u64) -> Vec<MemoRow> {
+    ["RatsC", "CSharp"]
+        .into_iter()
+        .map(|name| {
+            let entry = suite::by_name(name).expect("suite grammar");
+            let (grammar, analysis, input, tokens) = prepare(&entry, MEMO_LINES, seed);
+            let mut parser = parser_for(&entry, &grammar, &analysis, &input, &tokens);
+            let mut time = |memo: bool| {
+                parser.set_memoize(memo);
+                best_of(REPS, || {
+                    parse_pass(&mut parser, &tokens, entry.start_rule)
+                        .unwrap_or_else(|e| panic!("{name}: memo {memo}: {e}"))
+                })
+            };
+            let (memo_on, memo_off) = (time(true), time(false));
+            MemoRow { name, input_tokens: tokens.len() - 1, memo_on, memo_off }
         })
         .collect()
 }
 
-/// [`prediction_cases`] + [`measure_prediction`] in one call.
-pub fn prediction_all(tokens: usize, reps: usize, seed: u64) -> Vec<PredictionRow> {
-    measure_prediction(&prediction_cases(tokens, seed), reps)
-}
-
-/// Formats the prediction-dispatch table, with per-decision table bytes.
-pub fn format_prediction(rows: &[PredictionRow]) -> String {
+/// Formats the memoization ablation.
+pub fn format_memo(rows: &[MemoRow]) -> String {
     let mut out = String::from(
-        "Prediction dispatch (same token walk; linear edge scan vs compiled tables)\n\
-         Grammar    Dec  Class        Tokens   Linear    Dense  Speedup  Table-B\n",
+        "E10. Memoization ablation (best of 5 parses)\n\
+         Grammar      Tokens    Memo-on   Memo-off  Off/on\n",
     );
     for r in rows {
         out.push_str(&format!(
-            "{:<10} {:>3}  {:<10} {:>7} {:>6}us {:>6}us {:>7.2}x {:>8}\n",
+            "{:<10} {:>8} {:>10.2?} {:>10.2?} {:>6.1}x\n",
             r.name,
-            r.decision,
-            r.class,
-            r.tokens,
-            r.linear_micros,
-            r.dense_micros,
-            r.speedup_milli as f64 / 1000.0,
-            r.table_bytes,
+            r.input_tokens,
+            r.memo_on,
+            r.memo_off,
+            r.memo_off.as_secs_f64() / r.memo_on.as_secs_f64().max(f64::MIN_POSITIVE)
         ));
     }
     out
 }
 
-/// JSONL export of the prediction rows: one `prediction` line per
-/// measured decision, appended to `BENCH_analysis.json`.
-pub fn prediction_jsonl(rows: &[PredictionRow]) -> String {
-    let mut out = String::new();
+/// One lookahead bound of the fixed-k sweep (Section 2's LPG anecdote:
+/// `a : b A+ X | c A+ Y` is LL(*) but not LL(k) for any k).
+#[derive(Debug)]
+pub struct FixedKRow {
+    /// `AnalysisOptions::max_k`; `None` is unbounded LL(*).
+    pub max_k: Option<u32>,
+    /// States of rule `a`'s lookahead DFA.
+    pub states: usize,
+    /// The DFA's class (`LL(k)`, `cyclic`).
+    pub class: String,
+    /// Whether the decision resolved without an ambiguity or dead
+    /// alternative warning.
+    pub resolved: bool,
+    /// Best-of-5 analysis time of the whole grammar.
+    pub time: Duration,
+}
+
+/// Analyzes [`CYCLIC_GRAMMAR`] at k = 1, 2, 4, …, 32 and unbounded.
+pub fn fixed_k_sweep() -> Vec<FixedKRow> {
+    let grammar = parse_grammar(CYCLIC_GRAMMAR).expect("cyclic grammar");
+    [1, 2, 4, 8, 16, 32]
+        .map(Some)
+        .into_iter()
+        .chain([None])
+        .map(|max_k| {
+            let options = AnalysisOptions { max_k, ..Default::default() };
+            let time = best_of(REPS, || timed(|| analyze_with(&grammar, &options)).1);
+            let analysis = analyze_with(&grammar, &options);
+            let d = rule_decision(&grammar, &analysis, "a");
+            FixedKRow {
+                max_k,
+                states: d.dfa.states.len(),
+                class: d.dfa.classify().to_string(),
+                resolved: d.warnings.is_empty(),
+                time,
+            }
+        })
+        .collect()
+}
+
+/// Formats the fixed-k sweep.
+pub fn format_fixed_k(rows: &[FixedKRow]) -> String {
+    let mut out = String::from(
+        "E11. Fixed k vs LL(*) on a : b A+ X | c A+ Y (best of 5 analyses)\n\
+         Lookahead  States  Class      Resolved  Analysis\n",
+    );
     for r in rows {
-        let line = Json::Object(vec![
-            ("type".into(), Json::Str("prediction".into())),
-            ("grammar".into(), Json::Str(r.name.to_string())),
-            ("decision".into(), Json::Num(r.decision as u64)),
-            ("class".into(), Json::Str(r.class.clone())),
-            ("tokens".into(), Json::Num(r.tokens as u64)),
-            ("linear-micros".into(), Json::Num(r.linear_micros)),
-            ("dense-micros".into(), Json::Num(r.dense_micros)),
-            ("speedup-milli".into(), Json::Num(r.speedup_milli)),
-            ("table-bytes".into(), Json::Num(r.table_bytes as u64)),
-        ]);
-        out.push_str(&line.to_string());
-        out.push('\n');
+        let bound = r.max_k.map_or_else(|| "LL(*)".to_string(), |k| format!("k={k}"));
+        out.push_str(&format!(
+            "{bound:<10} {:>6}  {:<10} {:<8} {:>9.1?}\n",
+            r.states,
+            r.class,
+            if r.resolved { "yes" } else { "no" },
+            r.time
+        ));
     }
     out
-}
-
-/// The schema header line for `BENCH_analysis.json` (with trailing
-/// newline), so the mixed bench stream is versioned like every other
-/// machine-readable output.
-pub fn bench_stream_header() -> String {
-    let mut line = llstar_core::schema::StreamKind::BenchAnalysis.header_line();
-    line.push('\n');
-    line
-}
-
-/// Absolute path of the canonical `BENCH_analysis.json` at the
-/// workspace root. `cargo bench` runs each harness with the *package*
-/// directory as CWD, so a relative path would silently land in
-/// `crates/bench/` instead of the committed stream.
-pub fn bench_analysis_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_analysis.json")
-}
-
-/// Appends pre-rendered JSONL `rows` to the bench-analysis stream at
-/// `path`, writing the schema header first when the file does not exist
-/// yet — the one append path every bench binary shares (profile,
-/// prediction, scaling, gauntlet, metrics-overhead).
-///
-/// # Errors
-/// Propagates I/O errors from opening or writing the file.
-pub fn append_bench_rows(path: impl AsRef<std::path::Path>, rows: &str) -> std::io::Result<()> {
-    use std::io::Write as _;
-    let path = path.as_ref();
-    let fresh = !path.exists();
-    let mut file = std::fs::OpenOptions::new().create(true).append(true).open(path)?;
-    if fresh {
-        file.write_all(bench_stream_header().as_bytes())?;
-    }
-    file.write_all(rows.as_bytes())
-}
-
-/// Loads a bench-analysis stream back: validates the leading schema
-/// header through the shared [`llstar_core::schema`] checker (headerless
-/// pre-versioning files are accepted) and parses each data row.
-///
-/// # Errors
-/// Returns the 1-based line number and a description for the first
-/// unparsable line or a mismatched header.
-pub fn load_bench_rows(text: &str) -> Result<Vec<Json>, (usize, String)> {
-    let mut rows = Vec::new();
-    let mut first = true;
-    for (i, line) in text.lines().enumerate() {
-        if line.trim().is_empty() {
-            continue;
-        }
-        let value = Json::parse(line).map_err(|e| (i + 1, e))?;
-        if std::mem::take(&mut first) && llstar_core::schema::parse_schema_header(&value).is_some()
-        {
-            llstar_core::schema::check_header(
-                &value,
-                llstar_core::schema::StreamKind::BenchAnalysis,
-            )
-            .map_err(|e| (i + 1, e))?;
-            continue;
-        }
-        rows.push(value);
-    }
-    Ok(rows)
 }
 
 // ---------------------------------------------------------------------------
@@ -1285,49 +1084,20 @@ mod tests {
     }
 
     #[test]
-    fn bench_stream_is_versioned() {
-        let header = bench_stream_header();
-        let v = Json::parse(header.trim_end()).expect("valid header");
-        llstar_core::schema::check_header(&v, llstar_core::schema::StreamKind::BenchAnalysis)
-            .expect("header matches this build");
-    }
+    fn memo_ablation_and_fixed_k_sweep_cover_their_configurations() {
+        let memo = memo_ablation(7);
+        assert_eq!(memo.iter().map(|r| r.name).collect::<Vec<_>>(), ["RatsC", "CSharp"]);
+        assert!(format_memo(&memo).contains("CSharp"));
 
-    #[test]
-    fn bench_rows_round_trip_through_append_and_load() {
-        let dir = std::env::temp_dir().join(format!("llstar-bench-rows-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        let path = dir.join("BENCH_analysis.json");
-        let path = path.to_str().expect("utf-8 temp path");
-        let _ = std::fs::remove_file(path);
-
-        // First append creates the file with a header; the second must
-        // not duplicate it.
-        append_bench_rows(path, "{\"type\":\"gauntlet\",\"tokens\":10}\n").expect("append");
-        append_bench_rows(path, "{\"type\":\"metrics_overhead\",\"on-micros\":5}\n")
-            .expect("append again");
-        let text = std::fs::read_to_string(path).expect("read back");
-        assert!(text.starts_with(&bench_stream_header()), "{text}");
-        assert_eq!(text.matches("\"type\":\"schema\"").count(), 1, "{text}");
-
-        let rows = load_bench_rows(&text).expect("load");
-        assert_eq!(rows.len(), 2);
-        assert_eq!(rows[0].get("type").and_then(Json::as_str), Some("gauntlet"));
-        assert_eq!(rows[1].get("type").and_then(Json::as_str), Some("metrics_overhead"));
-
-        // Headerless (pre-versioning) files still load; a bumped header
-        // is rejected through the shared checker.
-        let (_, body) = text.split_once('\n').expect("has header line");
-        assert_eq!(load_bench_rows(body).expect("headerless load").len(), 2);
-        let bumped = llstar_core::schema::schema_line(
-            "bench-analysis",
-            llstar_core::schema::BENCH_STREAM_VERSION + 1,
-        ) + "\n";
-        let (line, err) = load_bench_rows(&bumped).expect_err("version bump rejected");
-        assert_eq!(line, 1);
-        assert!(err.contains("schema version"), "{err}");
-
-        let _ = std::fs::remove_file(path);
-        let _ = std::fs::remove_dir(&dir);
+        // No fixed k resolves the decision; LL(*) builds the 4-state
+        // cyclic DFA s0 -A-> s1, s1 -A-> s1, s1 -X-> f1, s1 -Y-> f2.
+        let sweep = fixed_k_sweep();
+        let (llstar, fixed) = sweep.split_last().expect("rows");
+        assert_eq!(fixed.len(), 6);
+        assert!(fixed.iter().all(|r| r.max_k.is_some() && !r.resolved), "{fixed:?}");
+        assert_eq!((llstar.max_k, llstar.states, llstar.resolved), (None, 4, true), "{llstar:?}");
+        assert_eq!(llstar.class, "cyclic");
+        assert!(format_fixed_k(&sweep).contains("LL(*)"));
     }
 
     #[test]

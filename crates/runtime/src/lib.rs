@@ -33,7 +33,7 @@ pub mod error;
 pub mod hooks;
 pub mod metrics;
 pub mod parser;
-pub mod recovery;
+mod recovery;
 pub mod session;
 pub mod span;
 pub mod stats;
@@ -54,7 +54,6 @@ pub use parser::{
     lex_stream, parse_text, parse_text_recovering, parse_text_recovering_traced, parse_text_traced,
     Parser,
 };
-pub use recovery::{BailErrorStrategy, DefaultErrorStrategy, ErrorStrategy, Repair, RepairContext};
 pub use session::{ParseSession, SessionError};
 pub use span::{
     derive_span_id, derive_trace_id, format_traceparent, parse_traceparent, SpanKind, SpanNode,

@@ -14,7 +14,7 @@ use crate::coverage::CoverageRecorder;
 use crate::error::{ParseError, ParseErrorKind, ResourceKind};
 use crate::hooks::{HookContext, Hooks};
 use crate::metrics::{MetricsSnapshot, ParseMetrics};
-use crate::recovery::{DefaultErrorStrategy, ErrorStrategy, Repair, RepairContext};
+use crate::recovery::{repair_for, Repair};
 use crate::stats::ParseStats;
 use crate::stream::TokenStream;
 use crate::trace::{MemoKind, TraceEvent, TraceSink};
@@ -100,11 +100,9 @@ impl MemoTable {
     }
 }
 
-/// Recovery-mode state: the pluggable strategy, the errors recorded so
-/// far (capped at `max_errors`), and the repair tally [`Parser::stats`]
-/// reports.
+/// Recovery-mode state: the errors recorded so far (capped at
+/// `max_errors`) and the repair tally [`Parser::stats`] reports.
 struct RecoveryState {
-    strategy: Box<dyn ErrorStrategy>,
     max_errors: usize,
     errors: Vec<ParseError>,
     /// Errors recorded over the parse. Unlike `errors.len()` it survives
@@ -129,9 +127,8 @@ struct RecoveryState {
 }
 
 impl RecoveryState {
-    fn new(strategy: Box<dyn ErrorStrategy>, max_errors: usize) -> Self {
+    fn new(max_errors: usize) -> Self {
         RecoveryState {
-            strategy,
             max_errors,
             errors: Vec::new(),
             recoveries: 0,
@@ -143,7 +140,7 @@ impl RecoveryState {
         }
     }
 
-    /// Clears the per-parse state; the strategy and cap stay.
+    /// Clears the per-parse state; the cap stays.
     fn reset(&mut self) {
         self.errors.clear();
         self.recoveries = 0;
@@ -271,7 +268,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// depth, recorded errors, resync stack, decision timing) while keeping the grammar,
     /// analysis, hooks, trace sink, coverage recorder (whose map spans
     /// every parse until [`Parser::take_coverage`]), and configuration —
-    /// memoization, recovery strategy and error cap — exactly as set.
+    /// memoization, recovery and its error cap — exactly as set.
     /// Memo-table row allocations stay warm, so a long-lived parser
     /// re-parses many inputs without reallocating its tables. This is
     /// the re-entrant entry point [`crate::ParseSession`], the gauntlet
@@ -371,8 +368,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
         self.timing.as_deref()
     }
 
-    /// Switches the parser into recovery mode with the default strategy:
-    /// instead of failing on the first syntax error it repairs (via
+    /// Switches the parser into recovery mode: instead of failing on the first syntax error it repairs (via
     /// single-token deletion/insertion or follow-set resynchronization),
     /// records the error, and keeps parsing — up to `max_errors` errors,
     /// after which the parse aborts like the strict engine. Recovered
@@ -380,17 +376,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// [`Parser::errors`]. Recovery never engages during speculation, so
     /// backtracking semantics are unchanged.
     pub fn enable_recovery(&mut self, max_errors: usize) {
-        self.recovery = Some(RecoveryState::new(Box::new(DefaultErrorStrategy), max_errors));
-    }
-
-    /// Replaces the recovery strategy (enabling recovery with no error
-    /// cap if it wasn't enabled). Use [`crate::recovery::BailErrorStrategy`]
-    /// to get strict semantics without rebuilding the parser.
-    pub fn set_error_strategy(&mut self, strategy: Box<dyn ErrorStrategy>) {
-        match &mut self.recovery {
-            Some(r) => r.strategy = strategy,
-            None => self.recovery = Some(RecoveryState::new(strategy, usize::MAX)),
-        }
+        self.recovery = Some(RecoveryState::new(max_errors));
     }
 
     /// The syntax errors recorded by recovery so far, in input order.
@@ -867,15 +853,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                             // derived no-viable error — and never resync
                             // past it.
                             let err = self.exhausted.clone().unwrap_or(err);
-                            let resync = !err.is_resource_limit()
-                                && self.recovering()
-                                && self
-                                    .recovery
-                                    .as_mut()
-                                    .expect("recovering")
-                                    .strategy
-                                    .on_no_viable();
-                            if !resync {
+                            if err.is_resource_limit() || !self.recovering() {
                                 return Err(err);
                             }
                             state = analysis.atn.decisions[id.index()].state;
@@ -1273,7 +1251,12 @@ impl<'g, H: Hooks> Parser<'g, H> {
     }
 
     /// Repairs a failed terminal match (edge requiring `required`, from
-    /// the mismatching state toward `target`) per the strategy's choice.
+    /// the mismatching state toward `target`) per [`repair_for`]. Cold
+    /// and out of line, like [`Parser::recover_no_viable`]: repairs run
+    /// only on syntax errors, and inlined into `interpret` they would
+    /// grow the interpreter loop every clean parse runs.
+    #[cold]
+    #[inline(never)]
     fn recover_mismatch(
         &mut self,
         err: ParseError,
@@ -1285,15 +1268,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
     ) -> Result<RepairOutcome, ParseError> {
         self.note_error(err.clone(), rule)?;
         let analysis = self.analysis;
-        let ctx = RepairContext {
-            expected: required,
-            successor_expected: analysis.recovery.expected_at(target),
-            la1: self.tokens.la(1),
-            la2: self.tokens.la(2),
-        };
-        let repair = self.recovery.as_mut().expect("recovery enabled").strategy.on_mismatch(&ctx);
-        match repair {
-            Repair::Abort => Err(err),
+        let successor_expected = analysis.recovery.expected_at(target);
+        match repair_for(required, successor_expected, self.tokens.la(1), self.tokens.la(2)) {
             Repair::InsertToken => {
                 self.recovery.as_mut().expect("recovery enabled").tokens_inserted += 1;
                 let token_index = self.tokens.index();
@@ -1320,7 +1296,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                     }
                     Ok(RepairOutcome::Continue { state: target, consumed: true })
                 } else {
-                    // The strategy's guess was wrong; resynchronize,
+                    // The deletion guess was wrong; resynchronize,
                     // keeping the deleted token in the error node.
                     let mut skipped = vec![bad];
                     skipped.extend(self.sync_tokens());
@@ -1397,6 +1373,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// until either a token in the decision's expected set appears (then
     /// retry the decision) or a token in the resynchronization set
     /// appears (then return from the rule with a partial match).
+    #[cold]
+    #[inline(never)]
     fn recover_no_viable(
         &mut self,
         err: ParseError,
@@ -2518,18 +2496,6 @@ mod tests {
         let rendered = diags[0].render(input, "input.txt");
         assert!(rendered.contains("--> input.txt:1:"), "{rendered}");
         assert!(rendered.contains('^'), "{rendered}");
-    }
-
-    #[test]
-    fn bail_strategy_restores_strict_semantics() {
-        use crate::recovery::BailErrorStrategy;
-        let (g, a) = setup(STMTS);
-        let scanner = g.lexer.build().unwrap();
-        let toks = scanner.tokenize("a 1 ;").unwrap();
-        let mut parser = Parser::new(&g, &a, TokenStream::new(toks), NopHooks);
-        parser.enable_recovery(100);
-        parser.set_error_strategy(Box::new(BailErrorStrategy));
-        assert!(parser.parse_to_eof("s").is_err());
     }
 
     #[test]

@@ -1,8 +1,8 @@
-//! ANTLR-style error recovery: the pluggable [`ErrorStrategy`] the parser
-//! consults after a terminal match or prediction fails in recovery mode.
+//! ANTLR-style error recovery: the repair policy the parser consults
+//! after a terminal match fails in recovery mode.
 //!
-//! The strategy only *chooses* among the three repair moves; the parser
-//! executes them:
+//! [`repair_for`] only *chooses* among the three repair moves; the
+//! parser executes them:
 //!
 //! * **single-token deletion** — the offending token is extraneous:
 //!   consume it into an error node and match the expected token that
@@ -25,10 +25,9 @@
 use llstar_core::TokenSet;
 use llstar_lexer::TokenType;
 
-/// A repair move chosen by an [`ErrorStrategy`] for a failed terminal
-/// match.
+/// A repair move for a failed terminal match, chosen by [`repair_for`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Repair {
+pub(crate) enum Repair {
     /// Delete the offending token, then match the expected token.
     DeleteToken,
     /// Synthesize the expected token without consuming input.
@@ -36,70 +35,26 @@ pub enum Repair {
     /// Consume until the resynchronization set, then return from the
     /// current rule.
     SyncAndReturn,
-    /// Give up: propagate the error exactly like the strict engine.
-    Abort,
 }
 
-/// What the parser knows at a failed terminal match.
-#[derive(Debug)]
-pub struct RepairContext<'a> {
-    /// The token type the ATN edge requires.
-    pub expected: TokenType,
-    /// Expected set of the ATN state *after* the required token — the
-    /// insertion viability test.
-    pub successor_expected: &'a TokenSet,
-    /// The offending token's type (`la(1)`).
-    pub la1: TokenType,
-    /// The type of the token after it (`la(2)`).
-    pub la2: TokenType,
-}
-
-/// Chooses repair moves. Implementations must be deterministic for the
-/// trace streams (and the interpreted/generated diagnostic parity) to
-/// stay byte-identical.
-pub trait ErrorStrategy {
-    /// The repair for a failed terminal match.
-    fn on_mismatch(&mut self, ctx: &RepairContext<'_>) -> Repair;
-
-    /// Whether to resynchronize after a failed prediction (`false`
-    /// propagates the no-viable-alternative error).
-    fn on_no_viable(&mut self) -> bool {
-        true
-    }
-}
-
-/// ANTLR's default policy: single-token deletion if `la(2)` matches,
-/// else single-token insertion if `la(1)` can follow the missing token,
-/// else sync-and-return. Generated parsers hard-code this policy, so use
-/// it whenever interpreted/generated diagnostic parity matters.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct DefaultErrorStrategy;
-
-impl ErrorStrategy for DefaultErrorStrategy {
-    fn on_mismatch(&mut self, ctx: &RepairContext<'_>) -> Repair {
-        if ctx.la2 == ctx.expected {
-            Repair::DeleteToken
-        } else if ctx.successor_expected.contains(ctx.la1) {
-            Repair::InsertToken
-        } else {
-            Repair::SyncAndReturn
-        }
-    }
-}
-
-/// Aborts on the first error: recovery mode with strict-engine
-/// semantics (useful to flip recovery off per-parse without rebuilding
-/// the parser).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct BailErrorStrategy;
-
-impl ErrorStrategy for BailErrorStrategy {
-    fn on_mismatch(&mut self, _ctx: &RepairContext<'_>) -> Repair {
-        Repair::Abort
-    }
-
-    fn on_no_viable(&mut self) -> bool {
-        false
+/// ANTLR's repair policy at a failed match of `expected`: single-token
+/// deletion if `la2` (the token after the offender) matches, else
+/// single-token insertion if `la1` is in `successor_expected` (the
+/// expected set of the ATN state after the required token), else
+/// sync-and-return. Generated parsers hard-code the same policy, which
+/// keeps interpreted and generated diagnostics byte-identical.
+pub(crate) fn repair_for(
+    expected: TokenType,
+    successor_expected: &TokenSet,
+    la1: TokenType,
+    la2: TokenType,
+) -> Repair {
+    if la2 == expected {
+        Repair::DeleteToken
+    } else if successor_expected.contains(la1) {
+        Repair::InsertToken
+    } else {
+        Repair::SyncAndReturn
     }
 }
 
@@ -107,34 +62,16 @@ impl ErrorStrategy for BailErrorStrategy {
 mod tests {
     use super::*;
 
-    fn ctx(expected: u32, succ: &TokenSet, la1: u32, la2: u32) -> RepairContext<'_> {
-        RepairContext {
-            expected: TokenType(expected),
-            successor_expected: succ,
-            la1: TokenType(la1),
-            la2: TokenType(la2),
-        }
-    }
-
     #[test]
-    fn default_strategy_prefers_deletion_then_insertion() {
+    fn repairs_prefer_deletion_then_insertion() {
         let mut succ = TokenSet::new(8);
         succ.insert(TokenType(5));
-        let mut s = DefaultErrorStrategy;
+        let t = TokenType;
         // la(2) matches: delete the offender.
-        assert_eq!(s.on_mismatch(&ctx(3, &succ, 9, 3)), Repair::DeleteToken);
+        assert_eq!(repair_for(t(3), &succ, t(9), t(3)), Repair::DeleteToken);
         // la(1) viable after the missing token: insert.
-        assert_eq!(s.on_mismatch(&ctx(3, &succ, 5, 6)), Repair::InsertToken);
+        assert_eq!(repair_for(t(3), &succ, t(5), t(6)), Repair::InsertToken);
         // Neither: resynchronize.
-        assert_eq!(s.on_mismatch(&ctx(3, &succ, 9, 6)), Repair::SyncAndReturn);
-        assert!(s.on_no_viable());
-    }
-
-    #[test]
-    fn bail_strategy_always_aborts() {
-        let succ = TokenSet::new(8);
-        let mut s = BailErrorStrategy;
-        assert_eq!(s.on_mismatch(&ctx(3, &succ, 3, 3)), Repair::Abort);
-        assert!(!s.on_no_viable());
+        assert_eq!(repair_for(t(3), &succ, t(9), t(6)), Repair::SyncAndReturn);
     }
 }
