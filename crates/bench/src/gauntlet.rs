@@ -12,8 +12,9 @@
 //!   super-linearly, which is the paper's argument *for* memoization —
 //!   rows where the cap fired carry `completed = false`).
 //!
-//! Interpreter rows sum per-decision [`ParseStats`] into the Table 3
-//! columns (avg k / back. k / max k), a per-event lookahead-depth
+//! Interpreter rows sum per-decision
+//! [`ParseStats`](llstar_runtime::ParseStats) into the Table 3 columns
+//! (avg k / back. k / max k), a per-event lookahead-depth
 //! histogram, and the Table 4 columns (backtrack percentage and the
 //! rate at potentially-backtracking decisions). Packrat rows report the
 //! engine's own speculation counters (attempts, backtracked

@@ -318,8 +318,7 @@ fn emit_prelude(w: &mut CodeWriter, grammar: &Grammar, options: CodegenOptions) 
         w.line("/// `backtrack-enter`, `backtrack-exit`, plus — in recovery");
         w.line("/// mode — `recover`, `sync-skip`, `token-inserted`,");
         w.line("/// `token-deleted`), `id` the decision, syntactic-predicate,");
-        w.line("/// rule, or token number, `pos` the token index. The names");
-        w.line("/// feed `llstar_runtime::SpanRecorder::apply_named` directly.");
+        w.line("/// rule, or token number, `pos` the token index.");
         w.open("fn trace(&mut self, kind: &str, id: u32, pos: usize) {");
         w.line("let _ = (kind, id, pos);");
         w.close("}");

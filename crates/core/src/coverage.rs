@@ -126,7 +126,8 @@ pub struct CoverageMap {
     pub fingerprint: u64,
     /// Number of corpus inputs merged into this map.
     pub files: u64,
-    /// Per-rule alternative completion counts, indexed by [`RuleId`];
+    /// Per-rule alternative completion counts, indexed by
+    /// [`RuleId`](llstar_grammar::RuleId);
     /// inner vectors are indexed by zero-based alternative.
     pub rules: Vec<Vec<u64>>,
     /// Per-decision counters, indexed by [`DecisionId`] (synthetic

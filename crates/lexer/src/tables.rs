@@ -2,9 +2,9 @@
 //!
 //! This is the lexer-side twin of `llstar-core`'s decision-DFA lowering
 //! (PR 5): the subset-construction [`ScannerDfa`] keeps its transitions as
-//! per-state `(char class, target)` lists over [`CharSet`] classes, which
-//! costs a linear class probe plus a linear transition scan per input
-//! character. [`ScannerTables`] replaces both with array loads:
+//! per-state `(char class, target)` lists over
+//! [`CharSet`](crate::charclass::CharSet) classes, which costs a linear
+//! class probe plus a linear transition scan per input character. [`ScannerTables`] replaces both with array loads:
 //!
 //! 1. **Byte classes.** A 128-entry `u8` map sends each ASCII byte to its
 //!    scanner class; non-ASCII codepoints binary-search a small sorted

@@ -1,4 +1,4 @@
-//! Filling a [`CoverageMap`] from the runtime. A [`CoverageRecorder`]
+//! Filling a [`CoverageMap`] from the runtime. A `CoverageRecorder`
 //! holds the map and the decision stack. The interpreter calls it
 //! directly, at the sites where it already bumps its metrics
 //! ([`Parser::enable_coverage`]), the way generated parsers bump their
@@ -35,9 +35,6 @@ use llstar_grammar::Grammar;
 pub(crate) struct CoverageRecorder {
     map: CoverageMap,
     decision_stack: Vec<u32>,
-    /// The DFA path of the depth-0 prediction in flight, reused across
-    /// predictions (depth-0 predictions never nest).
-    pub(crate) path: Vec<u32>,
 }
 
 impl CoverageRecorder {
@@ -46,7 +43,6 @@ impl CoverageRecorder {
         CoverageRecorder {
             map: CoverageMap::for_grammar(grammar, analysis),
             decision_stack: Vec::new(),
-            path: Vec::new(),
         }
     }
 

@@ -32,6 +32,7 @@ pub mod diagnostics;
 pub mod error;
 pub mod hooks;
 pub mod metrics;
+mod observe;
 pub mod parser;
 mod recovery;
 pub mod session;

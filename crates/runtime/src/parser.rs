@@ -14,6 +14,7 @@ use crate::coverage::CoverageRecorder;
 use crate::error::{ParseError, ParseErrorKind, ResourceKind};
 use crate::hooks::{HookContext, Hooks};
 use crate::metrics::{MetricsSnapshot, ParseMetrics};
+use crate::observe::{Observers, Predicted};
 use crate::recovery::{repair_for, Repair};
 use crate::stats::ParseStats;
 use crate::stream::TokenStream;
@@ -178,25 +179,15 @@ pub struct Parser<'g, H: Hooks> {
     speculating: u32,
     furthest_error: Option<ParseError>,
     memoize: bool,
-    trace: Option<&'g mut dyn TraceSink>,
-    /// Optional span fold over the same event stream the trace sink
-    /// sees ([`Parser::enable_span_recording`]). Owned rather than
-    /// borrowed like the sink: span trees are harvested per parse by
-    /// recycled sessions, which the `'g` sink lifetime can't express.
-    spans: Option<crate::span::SpanRecorder>,
-    /// Optional coverage counters ([`Parser::enable_coverage`]), bumped
-    /// directly at the prediction, rule-exit and memo sites. Boxed: the
-    /// map is large and is off on every production parse.
-    coverage: Option<Box<CoverageRecorder>>,
+    /// The attached trace sink, span recorder, coverage recorder and
+    /// decision timing; `None` while none is attached, as on every
+    /// production parse. Each event site checks it once and hands the
+    /// event to one [`Observers`] method.
+    observe: Option<Box<Observers<'g>>>,
     recovery: Option<RecoveryState>,
     /// Follow states of the rule invocations currently on the call
     /// stack; their expected sets form the dynamic resynchronization set.
     follow_stack: Vec<AtnStateId>,
-    /// Per-decision prediction wall-clock (nanoseconds), indexed by
-    /// `DecisionId`. `None` unless [`Parser::enable_decision_timing`]
-    /// was called; timing never enters the trace stream or coverage
-    /// maps, which must stay byte-deterministic.
-    timing: Option<Vec<u64>>,
     /// The always-on metric counters (lookahead depth, backtrack,
     /// memo traffic, tokens/parse). Unlike the trace pipeline this has
     /// no sink indirection and no per-event values — each record site
@@ -248,12 +239,9 @@ impl<'g, H: Hooks> Parser<'g, H> {
             speculating: 0,
             furthest_error: None,
             memoize: grammar.options.memoize,
-            trace: None,
-            spans: None,
-            coverage: None,
+            observe: None,
             recovery: None,
             follow_stack: Vec::new(),
-            timing: None,
             metrics: ParseMetrics::new(decision_count),
             fuel_used: 0,
             fuel_limit: u64::MAX,
@@ -265,9 +253,10 @@ impl<'g, H: Hooks> Parser<'g, H> {
 
     /// Rearms the parser for a fresh parse over `tokens`: clears all
     /// per-parse state (metrics, recovery tally, memo tables, speculation
-    /// depth, recorded errors, resync stack, decision timing) while keeping the grammar,
-    /// analysis, hooks, trace sink, coverage recorder (whose map spans
-    /// every parse until [`Parser::take_coverage`]), and configuration —
+    /// depth, recorded errors, resync stack, span log, decision timing)
+    /// while keeping the grammar, analysis, hooks, trace sink, coverage
+    /// recorder (whose map spans every parse until
+    /// [`Parser::take_coverage`]), and configuration —
     /// memoization, recovery and its error cap — exactly as set.
     /// Memo-table row allocations stay warm, so a long-lived parser
     /// re-parses many inputs without reallocating its tables. This is
@@ -284,11 +273,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
         if let Some(r) = &mut self.recovery {
             r.reset();
         }
-        if let Some(t) = &mut self.timing {
-            t.iter_mut().for_each(|slot| *slot = 0);
-        }
-        if let Some(s) = &mut self.spans {
-            s.clear();
+        if let Some(o) = self.observe.as_deref_mut() {
+            o.reset();
         }
         self.fuel_used = 0;
         self.deadline = self.timeout.map(|t| std::time::Instant::now() + t);
@@ -312,9 +298,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
 
     /// Caps the wall-clock a single parse may take; `None` lifts the
     /// cap. The deadline arms immediately and re-arms on every
-    /// [`Parser::reset`], and is polled every 4096 interpreter steps
-    /// (see [`DEADLINE_CHECK_MASK`]). Exceeding it aborts like fuel
-    /// exhaustion, with `resource: Timeout`.
+    /// [`Parser::reset`], and is polled every 4096 interpreter steps.
+    /// Exceeding it aborts like fuel exhaustion, with `resource: Timeout`.
     pub fn set_timeout(&mut self, timeout: Option<std::time::Duration>) {
         self.timeout = timeout;
         self.deadline = timeout.map(|t| std::time::Instant::now() + t);
@@ -359,13 +344,14 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// time-share column joins this against the (deterministic)
     /// coverage map at render time.
     pub fn enable_decision_timing(&mut self) {
-        self.timing = Some(vec![0; self.analysis.atn.decisions.len()]);
+        let decisions = self.analysis.atn.decisions.len();
+        self.observers().cold().timing = Some(vec![0; decisions]);
     }
 
     /// Nanoseconds spent predicting, per decision; `None` unless
     /// [`Parser::enable_decision_timing`] was called.
     pub fn decision_nanos(&self) -> Option<&[u64]> {
-        self.timing.as_deref()
+        self.observe.as_ref()?.cold.as_ref()?.timing.as_deref()
     }
 
     /// Switches the parser into recovery mode: instead of failing on the first syntax error it repairs (via
@@ -404,31 +390,21 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// to it. Stats and metrics count the same either way: they are
     /// bumped at the event sites, not folded from the stream.
     pub fn set_trace_sink(&mut self, sink: &'g mut dyn TraceSink) {
-        self.trace = Some(sink);
+        self.observers().cold().trace = Some(sink);
     }
 
-    /// Routes one runtime event to the span recorder and then the
-    /// attached sink. Returns at once when neither is attached; the
-    /// event is built by `event` only after that check, so an
-    /// unobserved parse builds none and stores nothing for one (taking
-    /// the event itself, the release build stored its fields to the
-    /// stack before the check at the memo sites). With the event kind
-    /// constant, the recorder's match folds to one record push. Always
-    /// inlined: with a plain `#[inline]` every site called it out of
-    /// line, and the `spans_overhead` gate read about one point higher
-    /// (2-core x86-64 host).
+    /// Hands one event to the attached observers; `event` builds it
+    /// only there, so an unobserved parse neither builds nor stores one.
     #[inline(always)]
-    fn emit(&mut self, event: impl FnOnce() -> TraceEvent) {
-        if self.spans.is_none() && self.trace.is_none() {
-            return;
+    fn event(&mut self, event: impl Fn() -> TraceEvent) {
+        if let Some(o) = self.observe.as_deref_mut() {
+            o.event(event);
         }
-        let event = event();
-        if let Some(recorder) = self.spans.as_mut() {
-            recorder.apply(&event);
-        }
-        if let Some(sink) = self.trace.as_mut() {
-            sink.event(&event);
-        }
+    }
+
+    /// The observer slot, attached on first use.
+    fn observers(&mut self) -> &mut Observers<'g> {
+        self.observe.get_or_insert_with(Box::default)
     }
 
     /// Starts folding events into a request-scoped span tree (capped at
@@ -438,9 +414,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// materializes DFA paths, so its overhead is a few arena pushes
     /// per rule/decision. [`Parser::reset`] rearms the recorder.
     pub fn enable_span_recording(&mut self) {
-        if self.spans.is_none() {
-            self.spans = Some(crate::span::SpanRecorder::new());
-        }
+        self.observers().spans.get_or_insert_with(crate::span::SpanRecorder::new);
     }
 
     /// Starts recording coverage: per-alternative, DFA-path, lookahead
@@ -449,21 +423,21 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// metrics, with no trace event built. The map accumulates across
     /// [`Parser::reset`] until [`Parser::take_coverage`].
     pub fn enable_coverage(&mut self) {
-        if self.coverage.is_none() {
-            self.coverage = Some(Box::new(CoverageRecorder::new(self.grammar, self.analysis)));
-        }
+        let (grammar, analysis) = (self.grammar, self.analysis);
+        let cold = self.observers().cold();
+        cold.coverage.get_or_insert_with(|| CoverageRecorder::new(grammar, analysis));
     }
 
     /// Stops recording coverage and returns the map recorded since
     /// [`Parser::enable_coverage`]; `None` if it was not enabled. The
     /// map's `files` count is left at 0 for the caller to set.
     pub fn take_coverage(&mut self) -> Option<CoverageMap> {
-        self.coverage.take().map(|recorder| recorder.into_map())
-    }
-
-    /// Whether span recording is enabled.
-    pub fn span_recording_enabled(&self) -> bool {
-        self.spans.is_some()
+        let observers = self.observe.as_deref_mut()?;
+        let recorder = observers.take_coverage()?;
+        if observers.is_empty() {
+            self.observe = None;
+        }
+        Some(recorder.into_map())
     }
 
     /// Snapshots the current parse's span tree (closing any dangling
@@ -471,37 +445,9 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// from the grammar. `None` unless
     /// [`Parser::enable_span_recording`] was called.
     pub fn span_tree(&mut self) -> Option<crate::span::SpanTree> {
-        let recorder = self.spans.as_mut()?;
+        let recorder = self.observe.as_deref_mut()?.spans.as_mut()?;
         let (rules, decisions) = crate::span::labels(self.grammar, self.analysis);
         Some(recorder.tree(rules, decisions))
-    }
-
-    /// Counts one memo hit (`hit`) or write in the metrics and, when
-    /// recording, the coverage map.
-    #[inline(always)]
-    fn count_memo(&mut self, hit: bool) {
-        if hit {
-            self.metrics.record_memo_hit();
-        } else {
-            self.metrics.record_memo_write();
-        }
-        if let Some(coverage) = self.coverage.as_deref_mut() {
-            coverage.memo(hit);
-        }
-    }
-
-    /// [`Parser::predict`] behind the optional wall-clock accumulator.
-    fn timed_predict(&mut self, id: DecisionId) -> Result<u16, ParseError> {
-        if self.timing.is_none() {
-            return self.predict(id);
-        }
-        let started = std::time::Instant::now();
-        let out = self.predict(id);
-        let nanos = started.elapsed().as_nanos() as u64;
-        if let Some(slot) = self.timing.as_mut().and_then(|t| t.get_mut(id.index())) {
-            *slot += nanos;
-        }
-        out
     }
 
     /// Overrides the grammar's `memoize` option (used by the memoization
@@ -575,7 +521,13 @@ impl<'g, H: Hooks> Parser<'g, H> {
             .rule_id(rule_name)
             .unwrap_or_else(|| panic!("unknown start rule {rule_name:?}"));
         let mut out = Vec::with_capacity(1);
-        match self.parse_rule_node(rule, true, &mut out) {
+        // The rule and prediction code is compiled with and without the
+        // out-of-line observers' calls (see `crate::observe`).
+        let result = match self.observe.as_ref().is_some_and(|o| o.cold.is_some()) {
+            true => self.parse_rule_node::<true>(rule, true, &mut out),
+            false => self.parse_rule_node::<false>(rule, true, &mut out),
+        };
+        match result {
             // A parse that tripped a budget mid-speculation can limp to
             // an apparent success (the failed synpred steers prediction
             // down another viable path) or die with a derived syntax
@@ -647,8 +599,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
         self.error_at(token, token_index, kind)
     }
 
-    /// Reports a syntax error at `token_index`: emits the trace event
-    /// and folds the error into `furthest_error`, the deepest error seen
+    /// Reports a syntax error at `token_index`: tells the observers and
+    /// folds the error into `furthest_error`, the deepest error seen
     /// (Section 4.4).
     ///
     /// While speculating, `kind` is built only for an error strictly
@@ -656,6 +608,11 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// keeps the older error on ties, so any other speculative error can
     /// never be reported. The returned error is never observed (see
     /// [`MemoEntry`]), so it is an allocation-free stand-in.
+    ///
+    /// Out of line: inlined at each of `interpret`'s error sites, its
+    /// error temporaries made `interpret`'s stack frame a fifth larger,
+    /// and `interpret` runs once per nesting level of the input.
+    #[inline(never)]
     fn error_at(
         &mut self,
         token: Token,
@@ -663,7 +620,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
         kind: impl FnOnce(&Self) -> ParseErrorKind,
     ) -> ParseError {
         let speculating = self.speculating > 0;
-        self.emit(|| TraceEvent::SyntaxError { token_index, speculating });
+        self.event(move || TraceEvent::SyntaxError { token_index, speculating });
         if self.speculating > 0 {
             if self.furthest_error.as_ref().is_none_or(|f| token_index > f.token_index) {
                 self.furthest_error = Some(ParseError { kind: kind(self), token, token_index });
@@ -687,8 +644,10 @@ impl<'g, H: Hooks> Parser<'g, H> {
     }
 
     /// Parses one rule invocation. When building, the finished rule node
-    /// is appended to `out`, the caller's children.
-    fn parse_rule_node(
+    /// is appended to `out`, the caller's children. `COLD` (here and in
+    /// the functions it calls) compiles in the calls to the out-of-line
+    /// observers; see [`crate::observe`].
+    fn parse_rule_node<const COLD: bool>(
         &mut self,
         rule: RuleId,
         build: bool,
@@ -698,8 +657,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
         if self.speculating > 0 && self.memoize {
             let m = self.memo_rules.get(rule.index(), start);
             if m != MemoEntry::Vacant {
-                self.count_memo(true);
-                self.emit(|| TraceEvent::MemoHit {
+                self.metrics.record_memo_hit();
+                self.event(move || TraceEvent::MemoHit {
                     kind: MemoKind::Rule,
                     id: rule.index() as u32,
                     token_index: start,
@@ -732,41 +691,31 @@ impl<'g, H: Hooks> Parser<'g, H> {
         } else {
             Vec::new()
         };
-        // The span recorder logs the rule once, at exit.
-        let mark = self.spans.as_ref().map_or(0, crate::span::SpanRecorder::rule_enter);
-        if let Some(sink) = self.trace.as_mut() {
-            sink.event(&TraceEvent::RuleEnter { rule: rule.index() as u32, token_index: start });
-        }
-        let result = self.interpret(entry, rule, build, &mut children);
+        let mark = match self.observe.as_deref_mut() {
+            Some(o) => o.rule_enter::<COLD>(rule.index() as u32, start),
+            None => 0,
+        };
+        let result = self.interpret::<COLD>(entry, rule, build, &mut children);
         let (end, ok) = (self.tokens.index(), result.is_ok());
         // A speculative parse builds no node and reports no alternative.
         let alt = match result {
             Ok(alt) if build => alt,
             _ => 0,
         };
-        if let Some(recorder) = self.spans.as_mut() {
-            recorder.rule_exit(mark, rule.index() as u32, start, end, alt, ok);
-        }
-        if let Some(coverage) = self.coverage.as_deref_mut() {
-            if ok && self.speculating == 0 {
-                coverage.rule_exit(rule.index() as u32, alt);
-            }
-        }
-        if let Some(sink) = self.trace.as_mut() {
-            let rule = rule.index() as u32;
-            sink.event(&TraceEvent::RuleExit { rule, token_index: end, alt, ok });
+        if let Some(o) = self.observe.as_deref_mut() {
+            o.rule_exit::<COLD>(mark, rule.index() as u32, start, end, alt, ok, self.speculating);
         }
         if self.speculating > 0 && self.memoize {
             let memo_value = match &result {
                 Ok(_) => MemoEntry::Success(self.tokens.index()),
                 Err(_) => MemoEntry::Failure,
             };
-            self.count_memo(false);
-            self.emit(|| TraceEvent::MemoWrite {
+            self.metrics.record_memo_write();
+            self.event(move || TraceEvent::MemoWrite {
                 kind: MemoKind::Rule,
                 id: rule.index() as u32,
                 token_index: start,
-                success: result.is_ok(),
+                success: ok,
             });
             self.memo_rules.set(rule.index(), start, memo_value);
         }
@@ -820,7 +769,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
     ///
     /// Each op is one interpreter step, and so is each ε move collapsed
     /// into it; reaching a stop state is free.
-    fn interpret(
+    fn interpret<const COLD: bool>(
         &mut self,
         entry: AtnStateId,
         rule: RuleId,
@@ -844,7 +793,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 AtnOp::Stop => return Ok(rule_alt),
                 AtnOp::Decide(id, alts) => {
                     let at_entry = eps == 0 && state == entry;
-                    let alt = match self.timed_predict(id) {
+                    let alt = match self.predict::<COLD>(id) {
                         Ok(alt) => alt,
                         Err(err) => {
                             // Prediction swallows speculative sub-parse
@@ -911,7 +860,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 AtnOp::Call(callee, follow) => {
                     let follow = follow as usize;
                     self.follow_stack.push(follow);
-                    let sub = self.parse_rule_node(callee, build, children);
+                    let sub = self.parse_rule_node::<COLD>(callee, build, children);
                     self.follow_stack.pop();
                     sub?;
                     idle_steps = 0;
@@ -922,7 +871,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                     let ctx = self.hook_ctx();
                     let outcome = self.hooks.sempred(text, &ctx);
                     let token_index = self.tokens.index();
-                    self.emit(|| TraceEvent::Sempred {
+                    self.event(move || TraceEvent::Sempred {
                         pred: text.to_string(),
                         token_index,
                         outcome,
@@ -941,7 +890,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                     }
                 }
                 AtnOp::SynPred(sp, negated, next) => {
-                    let (ok, _) = self.eval_synpred(sp);
+                    let (ok, _) = self.eval_synpred::<COLD>(sp);
                     if ok != negated {
                         state = next as usize;
                     } else {
@@ -978,43 +927,27 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// paths visit the same states in the same order and emit the same
     /// events, byte for byte.
     ///
+    /// Kept out of line: its one call site is in [`Parser::interpret`],
+    /// whose loop it would otherwise grow by half.
+    ///
     /// [`CompiledTables`]: llstar_core::CompiledTables
     /// [`CompiledTables::disabled`]: llstar_core::CompiledTables::disabled
-    fn predict(&mut self, decision: DecisionId) -> Result<u16, ParseError> {
+    #[inline(never)]
+    fn predict<const COLD: bool>(&mut self, decision: DecisionId) -> Result<u16, ParseError> {
         // `self.analysis` is a `&'g` field; copying it out unties the
         // table borrows from `&mut self`.
         let analysis = self.analysis;
         let dfa = &analysis.decisions[decision.index()].dfa;
         let compiled = analysis.tables.get(decision.index());
         let start_index = self.tokens.index();
-        let tracing = self.trace.is_some();
-        // The DFA path is only materialized for a trace sink and for
-        // coverage at depth 0, the only depth it counts; the span
-        // recorder doesn't need it. Depth-0 predictions never nest, so
-        // the coverage recorder lends them all one buffer.
-        let mut path = Vec::new();
-        let mut with_path = tracing;
-        if let Some(coverage) = self.coverage.as_deref_mut() {
-            coverage.predict_start(decision.0);
-            if self.speculating == 0 {
-                path = std::mem::take(&mut coverage.path);
-                path.clear();
-                with_path = true;
-            }
-        }
-        if with_path {
-            path.push(0);
-        }
-        // Without a trace sink the start is emitted only once something
-        // else happens inside the prediction; a bare DFA walk reaches the
-        // span recorder as one leaf record.
-        let mut started = tracing;
-        if started {
-            self.emit(|| TraceEvent::PredictStart {
-                decision: decision.0,
-                token_index: start_index,
-            });
-        }
+        // `path`: the DFA states walked, start state first, recorded only
+        // for a trace sink and for depth-0 coverage. `opened`: whether
+        // `PredictStart` went out.
+        let (mut path, mut opened) = match self.observe.as_deref_mut() {
+            Some(o) => o.predict_start::<COLD>(decision.0, start_index, self.speculating),
+            None => (Vec::new(), false),
+        };
+        let with_path = !path.is_empty();
         let mut cur = 0usize;
         let mut depth: u64 = 0;
         let mut backtracked = false;
@@ -1054,12 +987,11 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 }
                 continue;
             }
-            if !started {
-                started = true;
-                self.emit(|| TraceEvent::PredictStart {
-                    decision: decision.0,
-                    token_index: start_index,
-                });
+            if !opened {
+                opened = true;
+                if let Some(o) = self.observe.as_deref_mut() {
+                    o.predict_open(decision.0, start_index);
+                }
             }
             // Both borrow from the `&'g` analysis, not from `self`.
             let (preds, default_alt) = match compiled {
@@ -1074,7 +1006,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                             let text = self.grammar.sempred_text(p);
                             let ctx = self.hook_ctx();
                             let outcome = self.hooks.sempred(text, &ctx);
-                            self.emit(|| TraceEvent::Sempred {
+                            self.event(move || TraceEvent::Sempred {
                                 pred: text.to_string(),
                                 token_index: start_index,
                                 outcome,
@@ -1086,7 +1018,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                         }
                         PredSource::Syn(sp) => {
                             backtracked = true;
-                            let (ok, consumed) = self.eval_synpred(sp);
+                            let (ok, consumed) = self.eval_synpred::<COLD>(sp);
                             deepest_spec = deepest_spec.max(consumed);
                             if ok {
                                 chosen = Some(alt);
@@ -1095,7 +1027,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
                         }
                         PredSource::NotSyn(sp) => {
                             backtracked = true;
-                            let (ok, consumed) = self.eval_synpred(sp);
+                            let (ok, consumed) = self.eval_synpred::<COLD>(sp);
                             deepest_spec = deepest_spec.max(consumed);
                             if !ok {
                                 chosen = Some(alt);
@@ -1104,49 +1036,39 @@ impl<'g, H: Hooks> Parser<'g, H> {
                         }
                     }
                 }
-                match chosen.or(default_alt) {
-                    Some(alt) => break alt,
-                    None => {
-                        return Err(self.no_viable(decision, depth));
-                    }
+                if let Some(alt) = chosen.or(default_alt) {
+                    break alt;
                 }
             }
-            return Err(self.no_viable(decision, depth));
+            let err = self.no_viable(decision, depth);
+            if let Some(o) = self.observe.as_deref_mut() {
+                o.predict_fail::<COLD>(decision.0);
+            }
+            return Err(err);
         };
-        self.metrics.record_predict(
-            decision.index(),
-            depth.max(1).max(deepest_spec),
-            backtracked,
-            deepest_spec,
-        );
         let lookahead = depth.max(1).max(deepest_spec);
-        if let Some(coverage) = self.coverage.as_deref_mut() {
-            coverage.predict_stop(decision.0, &path, lookahead, backtracked, self.speculating == 0);
-        }
-        if started {
-            self.emit(|| TraceEvent::PredictStop {
+        self.metrics.record_predict(decision.index(), lookahead, backtracked, deepest_spec);
+        if let Some(o) = self.observe.as_deref_mut() {
+            let p = Predicted {
                 decision: decision.0,
                 token_index: start_index,
                 alt,
                 lookahead,
-                path,
                 backtracked,
                 spec_depth: deepest_spec,
-            });
-        } else {
-            if let Some(recorder) = self.spans.as_mut() {
-                recorder.predict_leaf(decision.0, start_index, alt, lookahead);
-            }
-            if let Some(coverage) = self.coverage.as_deref_mut() {
-                coverage.path = path;
-            }
+            };
+            o.predict_stop::<COLD>(p, opened, self.speculating, path);
         }
         Ok(alt)
     }
 
     /// A no-viable-alternative error at the lookahead token that caused
     /// the DFA error state (Section 4.4), carrying the decision state's
-    /// expected-token set for diagnostics.
+    /// expected-token set for diagnostics. Cold and out of line: inlined
+    /// into [`Parser::predict`], its error building more than doubled
+    /// the prediction's stack frame.
+    #[cold]
+    #[inline(never)]
     fn no_viable(&mut self, decision: DecisionId, depth: u64) -> ParseError {
         let token = self.tokens.lt(depth as usize + 1);
         let token_index = self.tokens.index() + depth as usize;
@@ -1191,10 +1113,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
         if r.errors.len() >= r.max_errors {
             return Err(err);
         }
-        self.emit(|| TraceEvent::Recover {
-            token_index: err.token_index,
-            rule: rule.index() as u32,
-        });
+        let (token_index, rule) = (err.token_index, rule.index() as u32);
+        self.event(move || TraceEvent::Recover { token_index, rule });
         let r = self.recovery.as_mut().expect("recovery enabled");
         r.recoveries += 1;
         r.errors.push(err);
@@ -1228,7 +1148,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// [`TraceEvent::SyncSkip`].
     fn note_skip(&mut self, token_index: usize, skipped: u64) {
         self.recovery.as_mut().expect("recovery enabled").tokens_skipped += skipped;
-        self.emit(|| TraceEvent::SyncSkip { token_index, skipped });
+        self.event(move || TraceEvent::SyncSkip { token_index, skipped });
     }
 
     /// Consumes tokens until the resynchronization set (or EOF), emitting
@@ -1273,7 +1193,7 @@ impl<'g, H: Hooks> Parser<'g, H> {
             Repair::InsertToken => {
                 self.recovery.as_mut().expect("recovery enabled").tokens_inserted += 1;
                 let token_index = self.tokens.index();
-                self.emit(|| TraceEvent::TokenInserted { token_index, ttype: required.0 });
+                self.event(move || TraceEvent::TokenInserted { token_index, ttype: required.0 });
                 if build {
                     children
                         .push(ParseTree::Error { tokens: Vec::new(), inserted: Some(required) });
@@ -1283,10 +1203,8 @@ impl<'g, H: Hooks> Parser<'g, H> {
             Repair::DeleteToken => {
                 let bad = self.tokens.consume();
                 self.recovery.as_mut().expect("recovery enabled").tokens_deleted += 1;
-                self.emit(|| TraceEvent::TokenDeleted {
-                    token_index: err.token_index,
-                    ttype: bad.ttype.0,
-                });
+                let (token_index, ttype) = (err.token_index, bad.ttype.0);
+                self.event(move || TraceEvent::TokenDeleted { token_index, ttype });
                 if self.tokens.la(1) == required {
                     let tok = self.tokens.consume();
                     self.token_matched();
@@ -1444,13 +1362,13 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// `spec_sum` and the recorded lookahead differ with memoization on
     /// and off. The trace's `BacktrackExit.consumed` still reports where
     /// the speculation stopped.
-    fn eval_synpred(&mut self, sp: SynPredId) -> (bool, u64) {
+    fn eval_synpred<const COLD: bool>(&mut self, sp: SynPredId) -> (bool, u64) {
         let start = self.tokens.index();
         if self.memoize {
             let m = self.memo_preds.get(sp.0 as usize, start);
             if m != MemoEntry::Vacant {
-                self.count_memo(true);
-                self.emit(|| TraceEvent::MemoHit {
+                self.metrics.record_memo_hit();
+                self.event(move || TraceEvent::MemoHit {
                     kind: MemoKind::SynPred,
                     id: sp.0,
                     token_index: start,
@@ -1463,11 +1381,15 @@ impl<'g, H: Hooks> Parser<'g, H> {
             }
         }
         let nesting = self.speculating;
-        self.emit(|| TraceEvent::BacktrackEnter { synpred: sp.0, token_index: start, nesting });
+        self.event(move || TraceEvent::BacktrackEnter {
+            synpred: sp.0,
+            token_index: start,
+            nesting,
+        });
         let entry = self.atn().synpred_entry[sp.0 as usize];
         let rule = self.grammar.synpred_rules[sp.0 as usize];
         self.speculating += 1;
-        let result = self.interpret(entry, rule, false, &mut Vec::new());
+        let result = self.interpret::<COLD>(entry, rule, false, &mut Vec::new());
         self.speculating -= 1;
         let consumed = (self.tokens.index() - start) as u64;
         self.tokens.seek(start);
@@ -1476,26 +1398,27 @@ impl<'g, H: Hooks> Parser<'g, H> {
                 Ok(_) => MemoEntry::Success(start + consumed as usize),
                 Err(_) => MemoEntry::Failure,
             };
-            self.count_memo(false);
-            self.emit(|| TraceEvent::MemoWrite {
+            self.metrics.record_memo_write();
+            let success = result.is_ok();
+            self.event(move || TraceEvent::MemoWrite {
                 kind: MemoKind::SynPred,
                 id: sp.0,
                 token_index: start,
-                success: result.is_ok(),
+                success,
             });
             self.memo_preds.set(sp.0 as usize, start, value);
         }
+        let ok = result.is_ok();
         // Back at the entry's nesting; read here, not kept across the
-        // sub-parse, so an unobserved parse spills nothing for it.
+        // sub-parse.
         let nesting = self.speculating;
-        self.emit(|| TraceEvent::BacktrackExit {
+        self.event(move || TraceEvent::BacktrackExit {
             synpred: sp.0,
             token_index: start,
-            matched: result.is_ok(),
+            matched: ok,
             consumed,
             nesting,
         });
-        let ok = result.is_ok();
         (ok, if ok { consumed } else { 0 })
     }
 }
@@ -1514,7 +1437,7 @@ fn unobserved_error(token: Token, token_index: usize) -> ParseError {
 
 /// Lexes `source` with an already-built `scanner`, fusing parser
 /// token-classes into the tokens when the analysis lowered its prediction
-/// tables (so [`Parser::predict`] skips the per-lookahead class-map probe).
+/// tables (so prediction skips the per-lookahead class-map probe).
 ///
 /// # Errors
 /// Returns the [`llstar_lexer::LexError`], stringified.
@@ -2088,10 +2011,18 @@ mod tests {
         assert_eq!(enters.count(), exits.count());
     }
 
-    /// Everything one parse produces, with or without a trace sink.
-    type Outputs = (Result<ParseTree, ParseError>, Vec<ParseError>, ParseStats, ParseMetrics);
+    /// Everything one parse produces, whichever observers watch it.
+    type Outputs = (Result<ParseTree, ParseError>, Vec<ParseError>, ParseStats, MetricsSnapshot);
 
-    fn parse_outputs(src: &str, input: &str, rule: &str, recovery: bool, traced: bool) -> Outputs {
+    /// What each attached observer recorded: trace events, span-tree
+    /// JSON, coverage JSON.
+    type Observed = (Option<Vec<TraceEvent>>, Option<String>, Option<String>);
+
+    /// Parses with the observers in `mask` attached: bit 0 a trace
+    /// sink, bit 1 span recording, bit 2 coverage, bit 3 decision
+    /// timing.
+    fn parse_observed(case: (&str, &str, &str), recovery: bool, mask: u8) -> (Outputs, Observed) {
+        let (src, input, rule) = case;
         let (g, a) = setup(src);
         let scanner = g.lexer.build().unwrap();
         let mut sink = crate::trace::RingSink::unbounded();
@@ -2099,28 +2030,63 @@ mod tests {
         if recovery {
             parser.enable_recovery(100);
         }
-        if traced {
+        if mask & 1 != 0 {
             parser.set_trace_sink(&mut sink);
         }
+        if mask & 2 != 0 {
+            parser.enable_span_recording();
+        }
+        if mask & 4 != 0 {
+            parser.enable_coverage();
+        }
+        if mask & 8 != 0 {
+            parser.enable_decision_timing();
+        }
         let tree = parser.parse_to_eof(rule);
-        (tree, parser.errors().to_vec(), parser.stats(), parser.metrics().clone())
+        let timing = parser.decision_nanos().map(<[u64]>::len);
+        assert_eq!(timing, (mask & 8 != 0).then_some(a.atn.decisions.len()), "mask {mask}");
+        let spans = parser.span_tree().map(|tree| tree.to_json());
+        let coverage = parser.take_coverage().map(|map| map.to_json());
+        let outputs = (tree, parser.errors().to_vec(), parser.stats(), parser.metrics_snapshot());
+        drop(parser);
+        let events = (mask & 1 != 0).then(|| sink.into_events());
+        (outputs, (events, spans, coverage))
     }
 
+    /// Every subset of the four observers, with recovery on and off:
+    /// the parse, its stats and its metrics equal the unobserved
+    /// parse's, and each observer records the same whatever else is
+    /// attached.
     #[test]
     fn skipping_events_changes_no_output() {
-        // Strict mode on a backtracking, memoizing parse; recovery mode
-        // on an input that inserts, deletes and records errors.
+        // A backtracking, memoizing parse; an input that inserts,
+        // deletes and records errors when recovering. `busy` is the
+        // mode in which the parse gets far enough to predict.
         let cases = [
             (FIG2, "- - x", "t", false),
             (FIG2, "- - 1", "t", false),
             (STMTS, "a 1 ; b = ; c = x ; d = 4 ;", "s", true),
             (STMTS, "a = b ; c = 2 ;", "s", true),
         ];
-        for (src, input, rule, recovery) in cases {
-            let untraced = parse_outputs(src, input, rule, recovery, false);
-            let traced = parse_outputs(src, input, rule, recovery, true);
-            assert_eq!(untraced, traced, "{input:?}");
-            assert!(untraced.2.total_events() > 0, "{input:?}");
+        for (src, input, rule, busy) in cases {
+            let case = (src, input, rule);
+            for recovery in [false, true] {
+                let (unobserved, _) = parse_observed(case, recovery, 0);
+                if recovery == busy {
+                    assert!(unobserved.2.total_events() > 0, "{input:?}");
+                }
+                let (_, (events, _, _)) = parse_observed(case, recovery, 1);
+                let (_, (_, spans, _)) = parse_observed(case, recovery, 2);
+                let (_, (_, _, coverage)) = parse_observed(case, recovery, 4);
+                for mask in 0..16u8 {
+                    let at = format!("{input:?}, recovery {recovery}, mask {mask}");
+                    let (outputs, observed) = parse_observed(case, recovery, mask);
+                    assert_eq!(outputs, unobserved, "{at}");
+                    assert_eq!(observed.0, events.clone().filter(|_| mask & 1 != 0), "{at}");
+                    assert_eq!(observed.1, spans.clone().filter(|_| mask & 2 != 0), "{at}");
+                    assert_eq!(observed.2, coverage.clone().filter(|_| mask & 4 != 0), "{at}");
+                }
+            }
         }
     }
 
@@ -2154,9 +2120,9 @@ mod tests {
                 if let Some(sink) = sink {
                     parser.set_trace_sink(sink);
                 }
-                parser.spans = Some(crate::span::SpanRecorder::with_capacity(capacity));
+                parser.observers().spans = Some(crate::span::SpanRecorder::with_capacity(capacity));
                 let _ = parser.parse_to_eof(rule);
-                parser.spans.take().unwrap().tree(Vec::new(), Vec::new())
+                parser.observers().spans.take().unwrap().tree(Vec::new(), Vec::new())
             };
             let mut sink = crate::trace::RingSink::unbounded();
             run(Some(&mut sink), 1);

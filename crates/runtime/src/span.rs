@@ -12,12 +12,11 @@
 //!
 //! Three consumers share this module:
 //!
-//! * [`crate::Parser`] owns an optional [`SpanRecorder`] and feeds it
-//!   from [`Parser::emit`], which builds events only while a recorder
-//!   or a trace sink is attached, and with packed rule spans and leaf
-//!   predictions straight from the parse — enable with
-//!   [`Parser::enable_span_recording`], harvest with
-//!   [`Parser::span_tree`].
+//! * [`crate::Parser`] can hold a [`SpanRecorder`] among its optional
+//!   observers and feeds it at its event sites (the crate's `observe`
+//!   module), with packed rule spans and leaf predictions straight from
+//!   the parse — enable with [`Parser::enable_span_recording`], harvest
+//!   with [`Parser::span_tree`].
 //! * `llstar serve` persists a schema-versioned exemplar capture of a
 //!   request's tree when the request is slow, errors, or trips its
 //!   budget.
@@ -31,7 +30,6 @@
 //! and deterministic FNV-1a trace-id derivation so the same request
 //! gets the same id regardless of which worker ran it.
 //!
-//! [`Parser::emit`]: crate::Parser
 //! [`Parser::enable_span_recording`]: crate::Parser::enable_span_recording
 //! [`Parser::span_tree`]: crate::Parser::span_tree
 
@@ -258,9 +256,7 @@ struct OpenSpan {
     node: Option<usize>,
 }
 
-/// Buffered-record opcodes (see [`LogRec`]). Ops with an `At` suffix
-/// carry only an end position — the [`SpanRecorder::apply_named`]
-/// bridge, which has no event payload to forward.
+/// Buffered-record opcodes (see [`LogRec`]).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Op {
     RuleEnter,
@@ -272,10 +268,8 @@ enum Op {
     /// [`Op::PredictLeaf`] packed into one word
     /// ([`SpanRecorder::predict_leaf`]).
     LeafWord,
-    PredictStopAt,
     BtEnter,
     BtExit,
-    BtExitAt,
     MemoHit,
     MemoWrite,
     Sempred,
@@ -284,26 +278,24 @@ enum Op {
     SyncSkip,
     Inserted,
     Deleted,
-    /// Advance `max_token` only (unknown named kinds).
-    Touch,
     /// A parser rule's enter and exit in one record, logged at exit
     /// ([`RuleSpan`]).
     RuleSpan,
+    /// [`Op::RuleSpan`] in two words ([`SpanRecorder::rule_exit`]).
+    RuleWord,
 }
 
 impl Op {
     /// Every op, indexed by its discriminant (decodes [`LogRec::unpack`]).
-    const ALL: [Op; 20] = [
+    const ALL: [Op; 18] = [
         Op::RuleEnter,
         Op::RuleExit,
         Op::PredictStart,
         Op::PredictStop,
         Op::PredictLeaf,
         Op::LeafWord,
-        Op::PredictStopAt,
         Op::BtEnter,
         Op::BtExit,
-        Op::BtExitAt,
         Op::MemoHit,
         Op::MemoWrite,
         Op::Sempred,
@@ -312,8 +304,8 @@ impl Op {
         Op::SyncSkip,
         Op::Inserted,
         Op::Deleted,
-        Op::Touch,
         Op::RuleSpan,
+        Op::RuleWord,
     ];
 
     /// The op of a logged record's first word. Ops fit in five bits,
@@ -484,7 +476,7 @@ impl SpanRecorder {
             }
             let op = Op::of(log[at]);
             match op {
-                Op::RuleSpan => {
+                Op::RuleSpan | Op::RuleWord => {
                     let span = RuleSpan::unpack(&log[at..]).expect("a rule span");
                     if self.admit(1) == 1 {
                         let exit = LogRec::at(Op::RuleExit, span.rule, span.end);
@@ -636,15 +628,6 @@ impl Fold {
                     n.ok = true;
                 });
             }
-            Op::PredictStopAt => {
-                // Named bridge: no lookahead payload, so the extent is
-                // the post-decision position.
-                self.close((SpanKind::Predict, rec.id), pos, |n| {
-                    n.end = n.end.max(pos);
-                    n.lookahead = (pos.max(n.start) - n.start).max(1);
-                    n.ok = true;
-                });
-            }
             Op::BtEnter => self.open(SpanKind::Backtrack, rec.id, pos),
             Op::BtExit => {
                 // The stream rewinds after speculation, so the exit
@@ -658,14 +641,6 @@ impl Fold {
                     n.ok = matched;
                 });
             }
-            Op::BtExitAt => {
-                self.close((SpanKind::Backtrack, rec.id), pos, |n| {
-                    n.end = n.end.max(pos);
-                    n.consumed = pos.max(n.start) - n.start;
-                    n.matched = true;
-                    n.ok = true;
-                });
-            }
             Op::MemoHit => self.tally(pos, |c| c.memo_hits += 1),
             Op::MemoWrite => self.tally(pos, |c| c.memo_writes += 1),
             Op::Sempred => self.tally(pos, |c| c.sempreds += 1),
@@ -677,8 +652,7 @@ impl Fold {
             }
             Op::Inserted => self.tally(pos, |c| c.inserted += 1),
             Op::Deleted => self.tally(pos, |c| c.deleted += 1),
-            Op::Touch => {}
-            Op::LeafWord | Op::RuleSpan => {
+            Op::LeafWord | Op::RuleSpan | Op::RuleWord => {
                 unreachable!("flush decodes packed records")
             }
         }
@@ -691,12 +665,8 @@ impl SpanRecorder {
     /// speculation depth; everything inside a speculative sub-parse is
     /// suppressed (see the `bt_depth` field).
     ///
-    /// Always inlined: at each `Parser::emit` site the event kind is a
-    /// constant, so the match folds to the one record push. Called out
-    /// of line, every recorded event is built on the stack and matched
-    /// again; on the smoke corpus (2-core x86-64 host) that moved the
-    /// `spans_overhead` gate statistic from ~1.7% to ~4.7% of its 5%
-    /// budget.
+    /// Always inlined: each of the parser's observer methods passes one
+    /// or two event kinds, so the match folds to a record push.
     #[inline(always)]
     pub fn apply(&mut self, event: &TraceEvent) {
         match event {
@@ -799,16 +769,16 @@ impl SpanRecorder {
             self.log_dropped += 2;
             return;
         }
-        let (pos, b) = (sat(token_index as u64), sat(lookahead).min(LOOKAHEAD_MASK));
-        if alt < 1 << 8 && decision < 1 << 13 && b < 1 << 6 {
+        if alt < 1 << 8 && decision < 1 << 13 && lookahead < 1 << 6 && token_index >> 32 == 0 {
             self.log.push(
                 Op::LeafWord as u64
                     | u64::from(alt) << 5
                     | u64::from(decision) << 13
-                    | u64::from(b) << 26
-                    | u64::from(pos) << 32,
+                    | lookahead << 26
+                    | (token_index as u64) << 32,
             );
         } else {
+            let (pos, b) = (sat(token_index as u64), sat(lookahead).min(LOOKAHEAD_MASK));
             let rec = LogRec { alt, b, ..LogRec::at(Op::PredictLeaf, decision, pos) };
             self.log.extend_from_slice(&rec.pack());
         }
@@ -831,6 +801,10 @@ impl SpanRecorder {
     /// A rule entered before the log filled up is logged even past the
     /// cap, since its entry may still fit; at most one record per rule
     /// open when the log filled.
+    ///
+    /// Two words where the values fit ([`RuleSpan`]): against three, the
+    /// `spans_overhead` gate read about half a point lower (2-core x86-64
+    /// host).
     #[inline(always)]
     pub(crate) fn rule_exit(
         &mut self,
@@ -848,57 +822,19 @@ impl SpanRecorder {
             self.log_dropped += 2;
             return;
         }
-        let head = LogRec { flag: ok, alt, ..LogRec::at(Op::RuleSpan, rule, 0) }.pack()[0];
-        let extent = u64::from(sat(start as u64)) | u64::from(sat(end as u64)) << 32;
         let inner = (self.log.len() - mark) as u64;
-        self.log.extend_from_slice(&[head, extent, inner]);
-    }
-
-    /// Bridge for generated parsers, whose trace hook reports
-    /// string-keyed `(kind, id, pos)` triples instead of full
-    /// [`TraceEvent`]s (see the `trace` codegen option). Rule extents
-    /// and outcomes map exactly; prediction spans lack a lookahead
-    /// depth, so their extent is the post-decision position. Unknown
-    /// kinds are ignored — forward compatibility over strictness.
-    /// Speculation is suppressed exactly like [`SpanRecorder::apply`]:
-    /// a speculative sub-parse is its backtrack span, nothing inside.
-    pub fn apply_named(&mut self, kind: &str, id: u32, pos: usize) {
-        let pos = sat(pos as u64);
-        match kind {
-            "backtrack-enter" => {
-                if self.bt_depth == 0 {
-                    self.push(LogRec::at(Op::BtEnter, id, pos));
-                }
-                self.bt_depth += 1;
-                return;
-            }
-            "backtrack-exit" => {
-                self.bt_depth = self.bt_depth.saturating_sub(1);
-                if self.bt_depth == 0 {
-                    self.push(LogRec::at(Op::BtExitAt, id, pos));
-                }
-                return;
-            }
-            _ => {}
+        if alt < 1 << 10 && rule < 1 << 16 && inner >> 32 == 0 && (start | end) >> 32 == 0 {
+            let head = Op::RuleWord as u64
+                | u64::from(ok) << 5
+                | u64::from(alt) << 6
+                | u64::from(rule) << 16
+                | inner << 32;
+            self.log.extend_from_slice(&[head, start as u64 | (end as u64) << 32]);
+        } else {
+            let extent = u64::from(sat(start as u64)) | u64::from(sat(end as u64)) << 32;
+            let head = LogRec { flag: ok, alt, ..LogRec::at(Op::RuleSpan, rule, 0) }.pack()[0];
+            self.log.extend_from_slice(&[head, extent, inner]);
         }
-        if self.bt_depth > 0 {
-            return;
-        }
-        let rec = match kind {
-            "rule-enter" => LogRec::at(Op::RuleEnter, id, pos),
-            "rule-exit" => LogRec { flag: true, ..LogRec::at(Op::RuleExit, id, pos) },
-            "rule-fail" => LogRec::at(Op::RuleExit, id, pos),
-            "predict-start" => LogRec::at(Op::PredictStart, id, pos),
-            "predict-stop" => LogRec::at(Op::PredictStopAt, id, pos),
-            "memo-hit" => LogRec::at(Op::MemoHit, 0, pos),
-            "syntax-error" => LogRec::at(Op::Error, 0, pos),
-            "recover" => LogRec::at(Op::Recover, 0, pos),
-            "sync-skip" => LogRec { b: id, ..LogRec::at(Op::SyncSkip, 0, pos) },
-            "token-inserted" => LogRec::at(Op::Inserted, 0, pos),
-            "token-deleted" => LogRec::at(Op::Deleted, 0, pos),
-            _ => LogRec::at(Op::Touch, 0, pos),
-        };
-        self.push(rec);
     }
 
     /// Folds any buffered records, closes anything still open (failed
@@ -925,9 +861,12 @@ impl SpanRecorder {
     }
 }
 
-/// A parser rule span as logged by [`SpanRecorder::rule_exit`], three
-/// words: a [`LogRec`] head (op, `ok`, `alt`, rule), `start | end << 32`,
-/// and `inner`.
+/// A parser rule span as logged by [`SpanRecorder::rule_exit`]. Most
+/// take two words: an [`Op::RuleWord`] head packing `ok`, `alt` (10
+/// bits), the rule (16 bits) and `inner` (32 bits), then
+/// `start | end << 32`. Wider values take three, an [`Op::RuleSpan`]: a
+/// [`LogRec`] head (op, `ok`, `alt`, rule), the saturated
+/// `start | end << 32`, and `inner`.
 struct RuleSpan {
     rule: u32,
     alt: u16,
@@ -942,19 +881,27 @@ impl RuleSpan {
     /// The rule span at the start of `words`, or `None` for any other
     /// record.
     fn unpack(words: &[u64]) -> Option<RuleSpan> {
-        if Op::of(words[0]) != Op::RuleSpan {
+        let head = words[0];
+        let op = Op::of(head);
+        if op != Op::RuleWord && op != Op::RuleSpan {
             return None;
         }
-        let head = LogRec::unpack([words[0], 0]);
         let (start, end) = (words[1] as u32, (words[1] >> 32) as u32);
-        Some(RuleSpan {
-            rule: head.id,
-            alt: head.alt,
-            ok: head.flag,
-            start,
-            end,
-            inner: words[2] as usize,
-        })
+        match op {
+            Op::RuleWord => Some(RuleSpan {
+                rule: (head >> 16) as u32 & 0xFFFF,
+                alt: (head >> 6) as u16 & 0x3FF,
+                ok: head >> 5 & 1 == 1,
+                start,
+                end,
+                inner: (head >> 32) as usize,
+            }),
+            _ => {
+                let head = LogRec::unpack([head, 0]);
+                let (rule, alt, ok, inner) = (head.id, head.alt, head.flag, words[2] as usize);
+                Some(RuleSpan { rule, alt, ok, start, end, inner })
+            }
+        }
     }
 }
 
@@ -1610,27 +1557,6 @@ mod tests {
         let tree = packed.tree(Vec::new(), Vec::new());
         assert_eq!(tree.nodes.len(), 5);
         assert_eq!(tree.to_json(), events.tree(Vec::new(), Vec::new()).to_json());
-    }
-
-    #[test]
-    fn named_bridge_mirrors_the_event_fold() {
-        let mut r = SpanRecorder::new();
-        r.apply_named("rule-enter", 1, 0);
-        r.apply_named("predict-start", 3, 0);
-        r.apply_named("predict-stop", 3, 1);
-        r.apply_named("memo-hit", 0, 1);
-        r.apply_named("rule-exit", 1, 4);
-        r.apply_named("no-such-kind", 9, 9);
-        let tree = r.tree(Vec::new(), Vec::new());
-        assert_eq!(tree.nodes.len(), 3, "unknown kinds are ignored");
-        let predict = tree.nodes.iter().find(|n| n.kind == SpanKind::Predict).expect("mapped");
-        assert_eq!((predict.start, predict.end, predict.lookahead), (0, 1, 1));
-        let rule = tree.nodes.iter().find(|n| n.kind == SpanKind::Rule).expect("mapped");
-        assert!(rule.ok && rule.end == 4);
-        // The memo-hit arrived after the prediction closed, so the rule
-        // span was innermost at that point.
-        assert_eq!(rule.counters.memo_hits, 1, "tally lands on the innermost open span");
-        assert_eq!(predict.counters.memo_hits, 0);
     }
 
     #[test]

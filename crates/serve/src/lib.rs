@@ -852,88 +852,57 @@ fn handle_request(
     let entry = &shared.grammars[idx];
     let lane = &mut lanes[idx];
     let started = Instant::now();
-    let (body, spans) = match request.mode {
-        ServeMode::Tree => {
-            let outcome = lane.strict.parse_to_eof(&request.input);
-            let lexed = !matches!(outcome, Err(SessionError::Lex(_)));
-            if lexed {
-                let micros = started.elapsed().as_micros() as u64;
-                lane.handle.record(lane.strict.parser().metrics(), micros);
-            }
-            let body = match outcome {
-                Ok(tree) => ServeBody::Tree {
-                    tokens: tree.token_count() as u64,
-                    sexpr: tree.to_sexpr(&entry.grammar, &request.input),
-                },
-                Err(e) => session_error_body(&e),
-            };
-            (body, SpanSource::session(lexed, SpanSource::Strict))
+    // Diagnostics run on the recovering session, every other mode on
+    // the strict one.
+    let recovering = request.mode == ServeMode::Diagnostics;
+    let session = if recovering { &mut lane.recovering } else { &mut lane.strict };
+    // Coverage is recorded for this request only: the map is taken
+    // whatever the outcome, so coverage is off again before the next
+    // request.
+    let coverage = request.mode == ServeMode::Coverage;
+    if coverage {
+        session.parser().enable_coverage();
+    }
+    let outcome = session.parse_to_eof(&request.input);
+    let map = if coverage { session.parser().take_coverage() } else { None };
+    let lexed = !matches!(outcome, Err(SessionError::Lex(_)));
+    if lexed {
+        let micros = started.elapsed().as_micros() as u64;
+        lane.handle.record(session.parser().metrics(), micros);
+    }
+    let grammar = &entry.grammar;
+    let body = match (outcome, request.mode) {
+        (Err(e), _) => session_error_body(&e),
+        (Ok(tree), ServeMode::Tree) => ServeBody::Tree {
+            tokens: tree.token_count() as u64,
+            sexpr: tree.to_sexpr(grammar, &request.input),
+        },
+        (Ok(tree), ServeMode::Diagnostics) => {
+            let errors = session.parser().take_errors();
+            let diagnostics = Diagnostic::from_errors(grammar, &errors)
+                .iter()
+                .map(|d| Json::parse(&d.to_json()).expect("diagnostics are valid json"))
+                .collect();
+            ServeBody::Diagnostics { diagnostics, sexpr: tree.to_sexpr(grammar, &request.input) }
         }
-        ServeMode::Diagnostics => {
-            let outcome = lane.recovering.parse_to_eof(&request.input);
-            let lexed = !matches!(outcome, Err(SessionError::Lex(_)));
-            if lexed {
-                let micros = started.elapsed().as_micros() as u64;
-                lane.handle.record(lane.recovering.parser().metrics(), micros);
+        (Ok(_), ServeMode::Metrics) => {
+            let line = session.parser().metrics_snapshot().to_json("serve", false);
+            ServeBody::Metrics {
+                snapshot: Json::parse(line.trim_end()).expect("metric snapshots are valid json"),
             }
-            let body = match outcome {
-                Ok(tree) => {
-                    let errors = lane.recovering.parser().take_errors();
-                    let diagnostics = Diagnostic::from_errors(&entry.grammar, &errors)
-                        .iter()
-                        .map(|d| Json::parse(&d.to_json()).expect("diagnostics are valid json"))
-                        .collect();
-                    ServeBody::Diagnostics {
-                        diagnostics,
-                        sexpr: tree.to_sexpr(&entry.grammar, &request.input),
-                    }
-                }
-                Err(e) => session_error_body(&e),
-            };
-            (body, SpanSource::session(lexed, SpanSource::Recovering))
         }
-        ServeMode::Metrics => {
-            let outcome = lane.strict.parse_to_eof(&request.input);
-            let lexed = !matches!(outcome, Err(SessionError::Lex(_)));
-            if lexed {
-                let micros = started.elapsed().as_micros() as u64;
-                lane.handle.record(lane.strict.parser().metrics(), micros);
+        (Ok(_), ServeMode::Coverage) => {
+            let mut map = map.expect("coverage was enabled");
+            map.files = 1;
+            ServeBody::Coverage {
+                report: Json::parse(&map.to_json()).expect("coverage is valid json"),
             }
-            let body = match outcome {
-                Ok(_) => {
-                    let line = lane.strict.parser().metrics_snapshot().to_json("serve", false);
-                    ServeBody::Metrics {
-                        snapshot: Json::parse(line.trim_end())
-                            .expect("metric snapshots are valid json"),
-                    }
-                }
-                Err(e) => session_error_body(&e),
-            };
-            (body, SpanSource::session(lexed, SpanSource::Strict))
         }
-        ServeMode::Coverage => {
-            // Recorded on the strict session for this request only: the
-            // map is taken whatever the outcome, so coverage is off again
-            // before the next request.
-            lane.strict.parser().enable_coverage();
-            let outcome = lane.strict.parse_to_eof(&request.input);
-            let mut map = lane.strict.parser().take_coverage().expect("coverage was enabled");
-            let lexed = !matches!(outcome, Err(SessionError::Lex(_)));
-            if lexed {
-                let micros = started.elapsed().as_micros() as u64;
-                lane.handle.record(lane.strict.parser().metrics(), micros);
-            }
-            let body = match outcome {
-                Ok(_) => {
-                    map.files = 1;
-                    ServeBody::Coverage {
-                        report: Json::parse(&map.to_json()).expect("coverage is valid json"),
-                    }
-                }
-                Err(e) => session_error_body(&e),
-            };
-            (body, SpanSource::session(lexed, SpanSource::Strict))
-        }
+    };
+    let spans = match (lexed, recovering) {
+        (false, _) => SpanSource::None,
+        (true, true) => SpanSource::Recovering,
+        (true, false) => SpanSource::Strict,
     };
     let parse_us = started.elapsed().as_micros() as u64;
     maybe_capture(shared, lane, &request, &trace_id, &body, spans, queue_us, parse_us);
@@ -965,18 +934,6 @@ enum SpanSource {
     Strict,
     /// The lane's recovering session.
     Recovering,
-}
-
-impl SpanSource {
-    /// `session` when the input lexed (the session's parser ran on this
-    /// request), otherwise no tree.
-    fn session(lexed: bool, session: SpanSource) -> SpanSource {
-        if lexed {
-            session
-        } else {
-            SpanSource::None
-        }
-    }
 }
 
 /// When a capture trigger fired, folds the request's span tree,

@@ -163,9 +163,7 @@ fn capture_spans_are_byte_identical_across_worker_counts() {
         .collect();
     assert!(!inputs.is_empty(), "smoke corpus provides json inputs");
     let run = |workers: usize| -> Vec<(String, String)> {
-        let dir = std::env::temp_dir()
-            .join(format!("llstar-capture-det-{}-{workers}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let dir = common::test_dir(&format!("capture_det_{workers}"));
         let opts = ServeOptions {
             workers,
             // Tiny fuel budget: every corpus request trips it, so every
@@ -189,7 +187,7 @@ fn capture_spans_are_byte_identical_across_worker_counts() {
             .collect();
         let responses = server.process_batch(requests);
         server.shutdown();
-        let captures: Vec<(String, String)> = responses
+        responses
             .iter()
             .map(|r| {
                 assert!(
@@ -207,9 +205,7 @@ fn capture_spans_are_byte_identical_across_worker_counts() {
                     .to_string();
                 (trace_id, capture_line)
             })
-            .collect();
-        let _ = std::fs::remove_dir_all(&dir);
-        captures
+            .collect()
     };
     let serial = run(1);
     let pool = run(4);
