@@ -102,6 +102,12 @@ pub struct GrammarAnalysis {
     /// reset to the default, since thread count never affects results);
     /// the cache layer compares them against the caller's request.
     pub options: AnalysisOptions,
+    /// [`grammar_fingerprint`] of the analyzed grammar, computed once
+    /// here so parse-time consumers (metrics and coverage labels, serve
+    /// registry keys) never re-render the grammar.
+    ///
+    /// [`grammar_fingerprint`]: crate::grammar_fingerprint
+    pub fingerprint: u64,
 }
 
 impl GrammarAnalysis {
@@ -202,6 +208,7 @@ pub fn analyze_with(grammar: &Grammar, options: &AnalysisOptions) -> GrammarAnal
         elapsed: start.elapsed(),
         from_cache: false,
         options: options.clone(),
+        fingerprint: crate::grammar_fingerprint(grammar),
     }
 }
 

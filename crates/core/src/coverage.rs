@@ -29,7 +29,6 @@ use crate::analysis::GrammarAnalysis;
 use crate::atn::DecisionId;
 use crate::json::Json;
 use crate::schema::{check_schema_field, COVERAGE_SCHEMA_VERSION};
-use crate::serialize::grammar_fingerprint;
 use llstar_grammar::{alt_to_string, Grammar};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -122,7 +121,8 @@ impl DecisionCoverage {
 /// A mergeable, grammar-fingerprinted coverage map. See the module docs.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CoverageMap {
-    /// [`grammar_fingerprint`] of the grammar the map was collected for.
+    /// [`grammar_fingerprint`](crate::grammar_fingerprint) of the grammar
+    /// the map was collected for.
     pub fingerprint: u64,
     /// Number of corpus inputs merged into this map.
     pub files: u64,
@@ -162,7 +162,7 @@ impl CoverageMap {
             })
             .collect();
         CoverageMap {
-            fingerprint: grammar_fingerprint(grammar),
+            fingerprint: analysis.fingerprint,
             files: 0,
             rules,
             decisions,
@@ -577,6 +577,7 @@ impl CoverageMap {
 mod tests {
     use super::*;
     use crate::analysis::analyze;
+    use crate::serialize::grammar_fingerprint;
     use llstar_grammar::parse_grammar;
 
     fn demo() -> (Grammar, GrammarAnalysis) {

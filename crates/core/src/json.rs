@@ -9,6 +9,13 @@
 
 use std::fmt;
 
+/// Deepest array/object nesting [`Json::parse`] accepts. Everything the
+/// repository writes nests a few levels; the cap keeps a hostile line
+/// (a serve request, say) from overflowing the stack, and because no
+/// parsed value is deeper, it bounds the recursion of dropping and
+/// displaying one too.
+pub const MAX_DEPTH: usize = 128;
+
 /// A parsed JSON value (observability subset: no floats, no escapes
 /// beyond the JSON standard set).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -77,7 +84,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, String> {
         let bytes = text.as_bytes();
         let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(format!("trailing content at byte {pos}"));
@@ -144,10 +151,14 @@ fn skip_ws(bytes: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
+/// Parses one value whose enclosing arrays and objects number `depth`.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
         None => Err("unexpected end of input".into()),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => {
+            Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"))
+        }
         Some(b'{') => {
             *pos += 1;
             let mut fields = Vec::new();
@@ -164,7 +175,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(bytes, pos, depth + 1)?;
                 fields.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -186,7 +197,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, String> {
                 return Ok(Json::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(bytes, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -310,6 +321,19 @@ mod tests {
         for text in ["", "{", "[1,", r#"{"a"}"#, "1.5", "-2", "1e9", "tru", "\"abc", "[1] x"] {
             assert!(Json::parse(text).is_err(), "accepted {text:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_capped() {
+        let nested = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let deepest = Json::parse(&nested(MAX_DEPTH)).expect("the cap itself parses");
+        assert_eq!(deepest.to_string(), nested(MAX_DEPTH));
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(Json::parse(&objects).is_err());
+        // Far past the cap: an error, not a stack overflow.
+        assert!(Json::parse(&"[".repeat(50_000)).is_err());
     }
 
     #[test]

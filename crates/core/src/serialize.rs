@@ -466,6 +466,7 @@ pub fn deserialize_analysis(
         elapsed: Duration::ZERO,
         from_cache: true,
         options,
+        fingerprint: fp,
     })
 }
 

@@ -14,22 +14,24 @@
 //! [`ParseStats`], the paper's Tables 3–4 per parse, is a view over
 //! these counters rather than a second fold.
 //!
-//! The layers are: [`ParseMetrics`] lives inside one parser and is
-//! cleared by [`Parser::reset`]; [`MetricsSnapshot`] is the mergeable,
-//! label-carrying export form (deterministic JSON for parity testing,
-//! Prometheus text exposition for scraping); [`MetricsRegistry`] is the
-//! process-wide accumulation point — sharded atomic slots keyed by
-//! `(grammar fingerprint, engine)` that many sessions flush into
-//! concurrently without locking the hot path.
+//! [`ParseMetrics`] is the one accumulator: a parser's per-parse
+//! counters (cleared by [`Parser::reset`]), a session's lifetime sum
+//! and each [`MetricsRegistry`] slot are all `ParseMetrics`, added
+//! together with [`ParseMetrics::merge`]. [`MetricsSnapshot`] is only
+//! the labelled export and import form (grammar fingerprint, rule
+//! names, exemplars; deterministic JSON for parity testing, Prometheus
+//! text exposition for scraping), built by [`ParseMetrics::snapshot`]
+//! when something is exported. The registry keys slots by `(grammar
+//! fingerprint, engine)` and gives every handle its own mutex-guarded
+//! slot, so concurrent recorders never contend; a snapshot merges the
+//! label's slots.
 //!
 //! [`Parser::reset`]: crate::Parser::reset
 //! [`ParseStats`]: crate::ParseStats
 
 use llstar_core::schema::{self, StreamKind};
 use llstar_core::Json;
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::iter::once;
 use std::sync::{Arc, Mutex};
 
 /// Buckets in a per-decision lookahead-depth histogram: 16 linear
@@ -206,11 +208,12 @@ impl Default for DecisionCounters {
     }
 }
 
-/// The per-parser metric state: one [`DecisionCounters`] row per
-/// decision plus parse-level counters and histograms. Cleared by
-/// [`Parser::reset`] (no carry-over between inputs); long-lived
-/// accumulation happens in [`MetricsSnapshot`]s or a
-/// [`MetricsRegistry`], which callers merge parses into.
+/// The metric accumulator: one [`DecisionCounters`] row per decision
+/// plus parse-level counters and histograms, and the timing tier
+/// (parse latency). A parser's own counters are cleared by
+/// [`Parser::reset`] (no carry-over between inputs); long-lived sums —
+/// a session's, a registry slot's — are `ParseMetrics` too, which
+/// parses are [merged](ParseMetrics::merge) into.
 ///
 /// [`Parser::reset`]: crate::Parser::reset
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -222,6 +225,11 @@ pub struct ParseMetrics {
     memo_entries: u64,
     tokens_hist: [u64; WIDE_BUCKETS],
     memo_hist: [u64; WIDE_BUCKETS],
+    /// Parse latency in microseconds (timing tier; a parser never
+    /// records it, its accumulators do).
+    latency_hist: [u64; WIDE_BUCKETS],
+    /// Total wall-clock microseconds across recorded latencies.
+    elapsed_micros: u64,
     /// `memo_entries` at the last `finish_parse`, so the per-parse memo
     /// histogram records deltas.
     memo_mark: u64,
@@ -244,6 +252,8 @@ impl ParseMetrics {
             memo_entries: 0,
             tokens_hist: [0; WIDE_BUCKETS],
             memo_hist: [0; WIDE_BUCKETS],
+            latency_hist: [0; WIDE_BUCKETS],
+            elapsed_micros: 0,
             memo_mark: 0,
             enabled: true,
         }
@@ -291,19 +301,54 @@ impl ParseMetrics {
         self.memo_hist[bucket_of(memo_delta, WIDE_BUCKETS)] += 1;
     }
 
+    /// Records one parse's wall-clock latency (the timing tier: kept
+    /// out of the deterministic JSON). Every call is counted, 0 µs
+    /// included.
+    pub fn record_latency(&mut self, micros: u64) {
+        self.latency_hist[bucket_of(micros, WIDE_BUCKETS)] += 1;
+        self.elapsed_micros += micros;
+    }
+
+    /// Adds `other` into `self`, cell by cell: sums everywhere except
+    /// `la_max`, which merges by max. Zero decision rows are skipped.
+    ///
+    /// # Panics
+    /// Panics when the decision counts differ — merging metrics across
+    /// grammars is a caller bug.
+    pub fn merge(&mut self, other: &ParseMetrics) {
+        assert_eq!(
+            self.decisions.len(),
+            other.decisions.len(),
+            "merging metrics from different grammars"
+        );
+        for (a, b) in self.decisions.iter_mut().zip(&other.decisions) {
+            if !b.is_zero() {
+                a.merge(b);
+            }
+        }
+        self.parses += other.parses;
+        self.tokens += other.tokens;
+        self.memo_hits += other.memo_hits;
+        self.memo_entries += other.memo_entries;
+        for (mine, theirs) in [
+            (&mut self.tokens_hist, &other.tokens_hist),
+            (&mut self.memo_hist, &other.memo_hist),
+            (&mut self.latency_hist, &other.latency_hist),
+        ] {
+            for (a, b) in mine.iter_mut().zip(theirs) {
+                *a += b;
+            }
+        }
+        self.elapsed_micros += other.elapsed_micros;
+    }
+
     /// Clears every counter (allocation kept warm). The `enabled` A/B
     /// switch survives, like the parser's other configuration.
     pub fn reset(&mut self) {
-        for d in &mut self.decisions {
-            *d = DecisionCounters::new();
-        }
-        self.parses = 0;
-        self.tokens = 0;
-        self.memo_hits = 0;
-        self.memo_entries = 0;
-        self.tokens_hist = [0; WIDE_BUCKETS];
-        self.memo_hist = [0; WIDE_BUCKETS];
-        self.memo_mark = 0;
+        let enabled = self.enabled;
+        let decisions = std::mem::take(&mut self.decisions);
+        *self = ParseMetrics { decisions, enabled, ..ParseMetrics::new(0) };
+        self.decisions.fill(DecisionCounters::new());
     }
 
     /// Disables (or re-enables) recording. Exists solely so the
@@ -349,12 +394,13 @@ impl ParseMetrics {
             && self.tokens == 0
             && self.memo_hits == 0
             && self.memo_entries == 0
+            && self.latency_hist.iter().all(|&c| c == 0)
             && self.decisions.iter().all(DecisionCounters::is_zero)
     }
 
-    /// Exports these counters as a labelled, mergeable snapshot.
-    /// `decision_rule` maps a decision index to its rule name (for
-    /// exposition labels).
+    /// Exports these counters as a labelled snapshot — the one place
+    /// labels are attached. `decision_rule` maps a decision index to
+    /// its rule name (for exposition labels).
     pub fn snapshot(
         &self,
         fingerprint: u64,
@@ -379,8 +425,8 @@ impl ParseMetrics {
             memo_entries: self.memo_entries,
             tokens_hist: self.tokens_hist,
             memo_hist: self.memo_hist,
-            latency_hist: [0; WIDE_BUCKETS],
-            elapsed_micros: 0,
+            latency_hist: self.latency_hist,
+            elapsed_micros: self.elapsed_micros,
             exemplars: Vec::new(),
             decisions,
         }
@@ -399,8 +445,9 @@ pub struct SnapshotDecision {
     pub counters: DecisionCounters,
 }
 
-/// A labelled, mergeable export of the metric counters: the `metrics
-/// v1` JSON stream line and the source of the Prometheus exposition.
+/// A labelled export of the metric counters: the `metrics v1` JSON
+/// stream line and the source of the Prometheus exposition. Counters
+/// are added up as [`ParseMetrics`] and labelled once, on export.
 ///
 /// Determinism contract: [`MetricsSnapshot::to_json`] with
 /// `timing: false` renders only deterministic counters — the parity
@@ -472,43 +519,6 @@ impl MetricsSnapshot {
             elapsed_micros: 0,
             exemplars: Vec::new(),
             decisions: Vec::new(),
-        }
-    }
-
-    /// Records one parse's wall-clock latency (the timing tier: kept
-    /// out of the deterministic JSON).
-    pub fn record_latency(&mut self, micros: u64) {
-        self.latency_hist[bucket_of(micros, WIDE_BUCKETS)] += 1;
-        self.elapsed_micros += micros;
-    }
-
-    /// Adds `other` into `self`.
-    ///
-    /// # Panics
-    /// Panics when the fingerprints differ — merging metrics across
-    /// grammars is a caller bug.
-    pub fn merge(&mut self, other: &MetricsSnapshot) {
-        assert_eq!(self.fingerprint, other.fingerprint, "merging metrics from different grammars");
-        self.parses += other.parses;
-        self.tokens += other.tokens;
-        self.memo_hits += other.memo_hits;
-        self.memo_entries += other.memo_entries;
-        for (a, b) in self.tokens_hist.iter_mut().zip(&other.tokens_hist) {
-            *a += b;
-        }
-        for (a, b) in self.memo_hist.iter_mut().zip(&other.memo_hist) {
-            *a += b;
-        }
-        for (a, b) in self.latency_hist.iter_mut().zip(&other.latency_hist) {
-            *a += b;
-        }
-        self.elapsed_micros += other.elapsed_micros;
-        self.exemplars.extend(other.exemplars.iter().cloned());
-        for d in &other.decisions {
-            match self.decisions.binary_search_by_key(&d.decision, |x| x.decision) {
-                Ok(i) => self.decisions[i].counters.merge(&d.counters),
-                Err(i) => self.decisions.insert(i, d.clone()),
-            }
         }
     }
 
@@ -724,23 +734,22 @@ impl MetricsSnapshot {
                 (labels, &d.counters.hist[..], d.counters.la_sum, d.counters.events)
             }),
             &base,
+            &[],
         ));
-        let parses_hist: Vec<(String, &[u64], u64, u64)> =
-            vec![(String::new(), &self.tokens_hist[..], self.tokens, self.parses)];
         out.push_str(&prom_histogram(
             "llstar_tokens_per_parse",
             "Tokens consumed per completed parse.",
-            parses_hist.iter().map(|(l, h, s, c)| (l.clone(), *h, *s, *c)),
+            once((String::new(), &self.tokens_hist[..], self.tokens, self.parses)),
             &base,
+            &[],
         ));
         let memo_count: u64 = self.memo_hist.iter().sum();
-        let memo_hist: Vec<(String, &[u64], u64, u64)> =
-            vec![(String::new(), &self.memo_hist[..], self.memo_entries, memo_count)];
         out.push_str(&prom_histogram(
             "llstar_memo_entries_per_parse",
             "Memo entries written per completed parse.",
-            memo_hist.iter().map(|(l, h, s, c)| (l.clone(), *h, *s, *c)),
+            once((String::new(), &self.memo_hist[..], self.memo_entries, memo_count)),
             &base,
+            &[],
         ));
         out.push_str(&format!(
             "# HELP llstar_memo_bytes Nominal memo footprint ({MEMO_ENTRY_BYTES} bytes/entry).\n# TYPE llstar_memo_bytes gauge\nllstar_memo_bytes{{{base}}} {}\n",
@@ -748,65 +757,16 @@ impl MetricsSnapshot {
         ));
         let lat_count: u64 = self.latency_hist.iter().sum();
         if lat_count > 0 {
-            out.push_str(&prom_latency_histogram(
-                &self.latency_hist,
-                self.elapsed_micros,
-                lat_count,
+            out.push_str(&prom_histogram(
+                "llstar_parse_latency_micros",
+                "Wall-clock parse latency in microseconds.",
+                once((String::new(), &self.latency_hist[..], self.elapsed_micros, lat_count)),
                 &base,
                 &self.exemplars,
             ));
         }
         out
     }
-}
-
-/// Renders the latency histogram family, attaching OpenMetrics
-/// exemplars (` # {trace_id="…",capture="…"} value`) to the bucket
-/// each captured request's latency falls in — the link from a p99
-/// bucket to the on-disk capture `llstar spans` renders. At most one
-/// exemplar per bucket line (first wins), per the exposition format.
-fn prom_latency_histogram(
-    hist: &[u64],
-    sum: u64,
-    count: u64,
-    base: &str,
-    exemplars: &[MetricExemplar],
-) -> String {
-    let name = "llstar_parse_latency_micros";
-    let mut out = format!(
-        "# HELP {name} Wall-clock parse latency in microseconds.\n# TYPE {name} histogram\n"
-    );
-    let mut cum = 0u64;
-    let mut used: Vec<usize> = Vec::new();
-    for (idx, &c) in hist.iter().enumerate() {
-        cum += c;
-        if c == 0 && idx + 1 < hist.len() {
-            continue; // keep the exposition sparse; `le` is cumulative anyway
-        }
-        let upper = bucket_upper(idx, hist.len());
-        let le = if upper == u64::MAX { "+Inf".to_string() } else { upper.to_string() };
-        out.push_str(&format!("{name}_bucket{{{base},le=\"{le}\"}} {cum}"));
-        // An emitted (possibly clamping) bucket line carries the first
-        // exemplar whose latency lands at or below its upper bound and
-        // hasn't been attached yet.
-        let attach = exemplars
-            .iter()
-            .enumerate()
-            .find(|(i, e)| !used.contains(i) && (bucket_of(e.latency_micros, hist.len()) <= idx));
-        if let Some((i, e)) = attach {
-            used.push(i);
-            out.push_str(&format!(
-                " # {{trace_id=\"{}\",capture=\"{}\"}} {}",
-                prom_escape(&e.trace_id),
-                prom_escape(&e.capture),
-                e.latency_micros
-            ));
-        }
-        out.push('\n');
-    }
-    out.push_str(&format!("{name}_sum{{{base}}} {sum}\n"));
-    out.push_str(&format!("{name}_count{{{base}}} {count}\n"));
-    out
 }
 
 /// Renders a histogram as a JSON array with trailing zeros trimmed
@@ -837,17 +797,23 @@ fn prom_escape(s: &str) -> String {
 }
 
 /// Renders one histogram family: cumulative `_bucket{le=...}` samples
-/// per series, plus `_sum` and `_count`.
+/// per series, plus `_sum` and `_count`. Bucket lines carry OpenMetrics
+/// exemplars (` # {trace_id="…",capture="…"} value`): an emitted
+/// (possibly clamping) bucket line takes the first exemplar not yet
+/// attached whose latency lands at or below its upper bound — the link
+/// from a p99 bucket to the on-disk capture `llstar spans` renders. At
+/// most one exemplar per line, per the exposition format; families
+/// other than parse latency pass none.
 fn prom_histogram<'h>(
     name: &str,
     help: &str,
     series: impl Iterator<Item = (String, &'h [u64], u64, u64)>,
     base: &str,
+    exemplars: &[MetricExemplar],
 ) -> String {
     let mut out = format!("# HELP {name} {help}\n# TYPE {name} histogram\n");
-    let mut any = false;
+    let mut used = vec![false; exemplars.len()];
     for (extra, hist, sum, count) in series {
-        any = true;
         let labels = if extra.is_empty() { base.to_string() } else { format!("{base},{extra}") };
         let mut cum = 0u64;
         for (idx, &c) in hist.iter().enumerate() {
@@ -857,13 +823,23 @@ fn prom_histogram<'h>(
             }
             let upper = bucket_upper(idx, hist.len());
             let le = if upper == u64::MAX { "+Inf".to_string() } else { upper.to_string() };
-            out.push_str(&format!("{name}_bucket{{{labels},le=\"{le}\"}} {cum}\n"));
+            out.push_str(&format!("{name}_bucket{{{labels},le=\"{le}\"}} {cum}"));
+            let attach = (0..exemplars.len())
+                .find(|&i| !used[i] && bucket_of(exemplars[i].latency_micros, hist.len()) <= idx);
+            if let Some(i) = attach {
+                used[i] = true;
+                let e = &exemplars[i];
+                out.push_str(&format!(
+                    " # {{trace_id=\"{}\",capture=\"{}\"}} {}",
+                    prom_escape(&e.trace_id),
+                    prom_escape(&e.capture),
+                    e.latency_micros
+                ));
+            }
+            out.push('\n');
         }
         out.push_str(&format!("{name}_sum{{{labels}}} {sum}\n"));
         out.push_str(&format!("{name}_count{{{labels}}} {count}\n"));
-    }
-    if !any {
-        return format!("# HELP {name} {help}\n# TYPE {name} histogram\n");
     }
     out
 }
@@ -951,140 +927,36 @@ pub fn validate_prometheus(text: &str) -> Result<usize, String> {
 }
 
 // ---------------------------------------------------------------------
-// The sharded registry
+// The registry
 // ---------------------------------------------------------------------
 
-/// How many shards each registry entry carries. Flushes pick a shard by
-/// thread-id hash, so concurrent sessions rarely contend on a cache
-/// line; snapshots sum across shards.
-const SHARDS: usize = 8;
-
-/// Slots per decision row in the flat atomic layout:
-/// `events, la_sum, la_max, backtracks, spec_sum, hist[DEPTH_BUCKETS]`.
-const DECISION_SLOTS: usize = 5 + DEPTH_BUCKETS;
-
-/// Global slots before the decision rows: `parses, tokens, memo_hits,
-/// memo_entries, elapsed_micros`, then the three wide histograms.
-const GLOBAL_SLOTS: usize = 5 + 3 * WIDE_BUCKETS;
-
-/// One `(grammar fingerprint, engine)` label's sharded slots.
-struct ShardSet {
+/// One `(grammar fingerprint, engine)` label: its exposition names and
+/// one accumulator slot per handle.
+struct Label {
     fingerprint: u64,
     engine: String,
     decision_rules: Vec<String>,
-    shards: Vec<Vec<AtomicU64>>,
+    slots: Mutex<Vec<Arc<Mutex<ParseMetrics>>>>,
 }
 
-impl ShardSet {
-    fn new(fingerprint: u64, engine: &str, decision_rules: Vec<String>) -> ShardSet {
-        let width = GLOBAL_SLOTS + decision_rules.len() * DECISION_SLOTS;
-        let shards = (0..SHARDS).map(|_| (0..width).map(|_| AtomicU64::new(0)).collect()).collect();
-        ShardSet { fingerprint, engine: engine.to_string(), decision_rules, shards }
-    }
-
-    /// The shard the current thread flushes into.
-    fn my_shard(&self) -> &[AtomicU64] {
-        let mut h = DefaultHasher::new();
-        std::thread::current().id().hash(&mut h);
-        &self.shards[(h.finish() as usize) % SHARDS]
-    }
-
-    fn add(&self, metrics: &ParseMetrics, latency_micros: u64) {
-        let shard = self.my_shard();
-        let add = |i: usize, v: u64| {
-            if v != 0 {
-                shard[i].fetch_add(v, Ordering::Relaxed);
-            }
-        };
-        add(0, metrics.parses);
-        add(1, metrics.tokens);
-        add(2, metrics.memo_hits);
-        add(3, metrics.memo_entries);
-        add(4, latency_micros);
-        let mut base = 5;
-        for (i, &v) in metrics.tokens_hist.iter().enumerate() {
-            add(base + i, v);
-        }
-        base += WIDE_BUCKETS;
-        for (i, &v) in metrics.memo_hist.iter().enumerate() {
-            add(base + i, v);
-        }
-        base += WIDE_BUCKETS;
-        if latency_micros != 0 {
-            add(base + bucket_of(latency_micros, WIDE_BUCKETS), 1);
-        }
-        base += WIDE_BUCKETS;
-        for (d, c) in metrics.decisions.iter().enumerate() {
-            if c.is_zero() {
-                continue;
-            }
-            let row = base + d * DECISION_SLOTS;
-            add(row, c.events);
-            add(row + 1, c.la_sum);
-            shard[row + 2].fetch_max(c.la_max, Ordering::Relaxed);
-            add(row + 3, c.backtracks);
-            add(row + 4, c.spec_sum);
-            for (i, &v) in c.hist.iter().enumerate() {
-                add(row + 5 + i, v);
-            }
-        }
-    }
-
+impl Label {
+    /// Merges every slot and labels the sum.
     fn snapshot(&self) -> MetricsSnapshot {
-        let sum =
-            |i: usize| -> u64 { self.shards.iter().map(|s| s[i].load(Ordering::Relaxed)).sum() };
-        let max = |i: usize| -> u64 {
-            self.shards.iter().map(|s| s[i].load(Ordering::Relaxed)).max().unwrap_or(0)
-        };
-        let mut snap = MetricsSnapshot::empty(self.fingerprint);
-        snap.parses = sum(0);
-        snap.tokens = sum(1);
-        snap.memo_hits = sum(2);
-        snap.memo_entries = sum(3);
-        snap.elapsed_micros = sum(4);
-        let mut base = 5;
-        for i in 0..WIDE_BUCKETS {
-            snap.tokens_hist[i] = sum(base + i);
+        let mut sum = ParseMetrics::new(self.decision_rules.len());
+        for slot in self.slots.lock().expect("metrics label poisoned").iter() {
+            sum.merge(&slot.lock().expect("metrics slot poisoned"));
         }
-        base += WIDE_BUCKETS;
-        for i in 0..WIDE_BUCKETS {
-            snap.memo_hist[i] = sum(base + i);
-        }
-        base += WIDE_BUCKETS;
-        for i in 0..WIDE_BUCKETS {
-            snap.latency_hist[i] = sum(base + i);
-        }
-        base += WIDE_BUCKETS;
-        for (d, rule) in self.decision_rules.iter().enumerate() {
-            let row = base + d * DECISION_SLOTS;
-            let mut counters = DecisionCounters::new();
-            counters.events = sum(row);
-            counters.la_sum = sum(row + 1);
-            counters.la_max = max(row + 2);
-            counters.backtracks = sum(row + 3);
-            counters.spec_sum = sum(row + 4);
-            for i in 0..DEPTH_BUCKETS {
-                counters.hist[i] = sum(row + 5 + i);
-            }
-            if !counters.is_zero() {
-                snap.decisions.push(SnapshotDecision {
-                    decision: d as u32,
-                    rule: rule.clone(),
-                    counters,
-                });
-            }
-        }
-        snap
+        sum.snapshot(self.fingerprint, |d| self.decision_rules[d].clone())
     }
 }
 
-/// The process-level accumulation point: a label-keyed registry of
-/// sharded atomic counter slots. Registration (cold) takes a mutex;
-/// recording through a [`MetricsHandle`] is lock-free — relaxed
-/// `fetch_add`s into the calling thread's shard.
+/// The process-level accumulation point: [`ParseMetrics`] slots keyed
+/// by `(grammar fingerprint, engine)`. Registration (cold) takes the
+/// registry's mutex; every [`MetricsHandle`] records into a slot of its
+/// own, so concurrent recorders never wait on each other.
 #[derive(Default)]
 pub struct MetricsRegistry {
-    entries: Mutex<Vec<Arc<ShardSet>>>,
+    labels: Mutex<Vec<Arc<Label>>>,
 }
 
 impl MetricsRegistry {
@@ -1093,55 +965,63 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Returns (creating if needed) the handle for
-    /// `(fingerprint, engine)`. `decision_rules` names each decision's
-    /// owning rule; it must be consistent across registrations of the
-    /// same label.
+    /// A new recording handle, with a slot of its own, under
+    /// `(fingerprint, engine)` (registering the label if needed).
+    /// `decision_rules` names each decision's owning rule; it must be
+    /// consistent across registrations of the same label.
     pub fn handle(
         &self,
         fingerprint: u64,
         engine: &str,
         decision_rules: &[String],
     ) -> MetricsHandle {
-        let mut entries = self.entries.lock().expect("metrics registry poisoned");
-        if let Some(e) = entries.iter().find(|e| e.fingerprint == fingerprint && e.engine == engine)
+        let mut labels = self.labels.lock().expect("metrics registry poisoned");
+        let label = match labels.iter().find(|l| l.fingerprint == fingerprint && l.engine == engine)
         {
-            return MetricsHandle { shards: Arc::clone(e) };
-        }
-        let set = Arc::new(ShardSet::new(fingerprint, engine, decision_rules.to_vec()));
-        entries.push(Arc::clone(&set));
-        MetricsHandle { shards: set }
+            Some(label) => Arc::clone(label),
+            None => {
+                let label = Arc::new(Label {
+                    fingerprint,
+                    engine: engine.to_string(),
+                    decision_rules: decision_rules.to_vec(),
+                    slots: Mutex::new(Vec::new()),
+                });
+                labels.push(Arc::clone(&label));
+                label
+            }
+        };
+        let slot = Arc::new(Mutex::new(ParseMetrics::new(label.decision_rules.len())));
+        label.slots.lock().expect("metrics label poisoned").push(Arc::clone(&slot));
+        MetricsHandle { label, slot }
     }
 
     /// Snapshots every label, in registration order, as
     /// `(engine, snapshot)` pairs.
     pub fn snapshot_all(&self) -> Vec<(String, MetricsSnapshot)> {
-        let entries = self.entries.lock().expect("metrics registry poisoned");
-        entries.iter().map(|e| (e.engine.clone(), e.snapshot())).collect()
+        let labels = self.labels.lock().expect("metrics registry poisoned");
+        labels.iter().map(|l| (l.engine.clone(), l.snapshot())).collect()
     }
 }
 
-/// A clonable, lock-free recording handle into one registry label.
-#[derive(Clone)]
+/// A recording handle: one registry slot, under one label.
 pub struct MetricsHandle {
-    shards: Arc<ShardSet>,
+    label: Arc<Label>,
+    slot: Arc<Mutex<ParseMetrics>>,
 }
 
 impl MetricsHandle {
-    /// Adds one parser's counters (and an optional parse latency) into
-    /// the calling thread's shard. Lock-free; relaxed ordering.
+    /// Merges one parser's counters and its parse latency into this
+    /// handle's slot. Only this handle locks the slot, apart from
+    /// snapshots.
     pub fn record(&self, metrics: &ParseMetrics, latency_micros: u64) {
-        self.shards.add(metrics, latency_micros);
+        let mut slot = self.slot.lock().expect("metrics slot poisoned");
+        slot.merge(metrics);
+        slot.record_latency(latency_micros);
     }
 
-    /// Sums this label's shards into a snapshot.
+    /// Merges every slot of this handle's label into a snapshot.
     pub fn snapshot(&self) -> MetricsSnapshot {
-        self.shards.snapshot()
-    }
-
-    /// The engine label this handle records under.
-    pub fn engine(&self) -> &str {
-        &self.shards.engine
+        self.label.snapshot()
     }
 }
 
@@ -1252,10 +1132,10 @@ mod tests {
 
     #[test]
     fn exemplars_ride_the_timing_tier_only() {
-        let m = sample_metrics();
+        let mut m = sample_metrics();
+        let plain = m.snapshot(0xfeed, |d| format!("rule{d}")).to_json("serve", false);
+        m.record_latency(2000);
         let mut snap = m.snapshot(0xfeed, |d| format!("rule{d}"));
-        let plain = snap.to_json("serve", false);
-        snap.record_latency(2000);
         snap.exemplars.push(MetricExemplar {
             reason: "slow".into(),
             count: 3,
@@ -1319,8 +1199,9 @@ mod tests {
         assert_eq!(engine, "interp");
         assert_eq!(back, snap);
         // Timing round-trip.
-        let mut timed = snap.clone();
-        timed.record_latency(1500);
+        let mut m = m;
+        m.record_latency(1500);
+        let timed = m.snapshot(0xdead_beef, |d| format!("rule{d}"));
         let json = timed.to_json("session", true);
         let (_, back) = MetricsSnapshot::from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, timed);
@@ -1332,22 +1213,42 @@ mod tests {
 
     #[test]
     fn merge_is_cellwise() {
-        let m = sample_metrics();
-        let a = m.snapshot(7, |d| format!("r{d}"));
-        let mut twice = a.clone();
-        twice.merge(&a);
+        let mut m = sample_metrics();
+        m.record_latency(40);
+        let mut twice = m.clone();
+        twice.merge(&m);
+        let (a, twice) =
+            (m.snapshot(7, |d| format!("r{d}")), twice.snapshot(7, |d| format!("r{d}")));
         assert_eq!(twice.parses, 2 * a.parses);
         assert_eq!(twice.tokens, 2 * a.tokens);
+        assert_eq!(twice.memo_hist[bucket_of(2, WIDE_BUCKETS)], 2);
+        assert_eq!(twice.elapsed_micros, 80);
         assert_eq!(twice.decisions[0].counters.events, 2 * a.decisions[0].counters.events);
         assert_eq!(
             twice.decisions[0].counters.la_max, a.decisions[0].counters.la_max,
             "la_max merges by max"
         );
+        assert_eq!(twice.decisions.len(), 2, "zero rows stay zero");
+    }
+
+    #[test]
+    fn every_recorded_latency_is_counted() {
+        let registry = MetricsRegistry::new();
+        let handle = registry.handle(1, "serve", &["a".into(), "b".into(), "c".into()]);
+        let m = sample_metrics();
+        handle.record(&m, 0);
+        handle.record(&m, 0);
+        let snap = handle.snapshot();
+        assert_eq!(snap.latency_hist.iter().sum::<u64>(), 2, "0 µs parses are counted");
+        assert_eq!(snap.elapsed_micros, 0);
+        let text = snap.to_prometheus("serve");
+        assert!(text.contains("llstar_parse_latency_micros_count{grammar=\"0000000000000001\",engine=\"serve\"} 2"), "{text}");
     }
 
     #[test]
     fn reset_clears_everything_but_enabled() {
         let mut m = sample_metrics();
+        m.record_latency(0);
         assert!(!m.is_zero());
         m.set_enabled(false);
         m.reset();
@@ -1360,10 +1261,9 @@ mod tests {
 
     #[test]
     fn prometheus_output_validates_and_carries_labels() {
-        let m = sample_metrics();
-        let mut snap = m.snapshot(0xabcd, |d| format!("rule{d}"));
-        snap.record_latency(900);
-        let text = snap.to_prometheus("session");
+        let mut m = sample_metrics();
+        m.record_latency(900);
+        let text = m.snapshot(0xabcd, |d| format!("rule{d}")).to_prometheus("session");
         let samples = validate_prometheus(&text).unwrap_or_else(|e| panic!("{e}\n---\n{text}"));
         assert!(samples > 10, "expected a rich exposition, got {samples} samples");
         assert!(
@@ -1384,33 +1284,30 @@ mod tests {
     }
 
     #[test]
-    fn registry_sums_across_threads_and_shards() {
+    fn registry_sums_across_threads_and_slots() {
         let registry = MetricsRegistry::new();
         let rules = vec!["a".to_string(), "b".to_string(), "c".to_string()];
-        let handle = registry.handle(42, "session", &rules);
-        let threads: Vec<_> = (0..4)
-            .map(|_| {
-                let h = handle.clone();
-                std::thread::spawn(move || {
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                let h = registry.handle(42, "session", &rules);
+                scope.spawn(move || {
                     for _ in 0..50 {
                         h.record(&sample_metrics(), 10);
                     }
-                })
-            })
-            .collect();
-        for t in threads {
-            t.join().unwrap();
-        }
+                });
+            }
+        });
+        let handle = registry.handle(42, "session", &rules);
         let snap = handle.snapshot();
         assert_eq!(snap.parses, 200);
         assert_eq!(snap.tokens, 200 * 120);
         assert_eq!(snap.elapsed_micros, 2000);
         assert_eq!(snap.latency_hist.iter().sum::<u64>(), 200);
         assert_eq!(snap.decisions[0].counters.events, 400);
-        assert_eq!(snap.decisions[0].counters.la_max, 3, "la_max merges by max across shards");
-        // Same-label handle resolves to the same slots.
-        let again = registry.handle(42, "session", &rules);
-        assert_eq!(again.snapshot().parses, 200);
+        assert_eq!(snap.decisions[0].counters.la_max, 3, "la_max merges by max across slots");
+        // A same-label handle reads every slot of the label.
+        handle.record(&sample_metrics(), 10);
+        assert_eq!(registry.handle(42, "session", &rules).snapshot().parses, 201);
         // Different engine label is independent.
         let other = registry.handle(42, "interp", &rules);
         assert_eq!(other.snapshot().parses, 0);

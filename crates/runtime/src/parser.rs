@@ -489,8 +489,13 @@ impl<'g, H: Hooks> Parser<'g, H> {
     /// rule. Deterministic for a given parse sequence — the parity
     /// suite compares this byte-for-byte across engines.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let fingerprint = llstar_core::grammar_fingerprint(self.grammar);
-        self.metrics.snapshot(fingerprint, |d| {
+        self.label_metrics(&self.metrics)
+    }
+
+    /// Labels `metrics` (counters of this parser's grammar) with the
+    /// analysis fingerprint and each decision's rule name.
+    pub(crate) fn label_metrics(&self, metrics: &ParseMetrics) -> MetricsSnapshot {
+        metrics.snapshot(self.analysis.fingerprint, |d| {
             let rule = self.analysis.atn.decisions[d].rule;
             self.grammar.rule(rule).name.clone()
         })

@@ -1159,7 +1159,7 @@ fn metrics_cmd(
     if flags.prometheus {
         print!("{}", snap.to_prometheus("session"));
     } else {
-        print!("{}", metrics_table(snap, flags.top.unwrap_or(usize::MAX)));
+        print!("{}", metrics_table(&snap, flags.top.unwrap_or(usize::MAX)));
     }
     if let Some(out) = &flags.json {
         let mut text = MetricsSnapshot::stream_header();

@@ -18,8 +18,8 @@
 
 use llstar::core::{
     analyze_cached, analyze_cached_metered, analyze_cached_with, analyze_with, cache_path,
-    deserialize_analysis, serialize_analysis, AnalysisOptions, CacheMetrics, CacheMiss,
-    CacheStatus,
+    deserialize_analysis, grammar_fingerprint, serialize_analysis, AnalysisOptions, CacheMetrics,
+    CacheMiss, CacheStatus,
 };
 use llstar::grammar::{apply_peg_mode, parse_grammar, Grammar};
 use std::path::{Path, PathBuf};
@@ -69,6 +69,13 @@ fn hit_skips_subset_construction_and_replays_metrics() {
     for (da, db) in fresh.decisions.iter().zip(&loaded.decisions) {
         assert_eq!(da.metrics, db.metrics, "decision d{} metrics", da.decision.0);
     }
+    // Every construction path carries the grammar's fingerprint: a
+    // fresh analysis, a cache hit, and a `--dfa` load of the same text.
+    let fingerprint = grammar_fingerprint(&g);
+    assert_eq!(fresh.fingerprint, fingerprint, "fresh analysis");
+    assert_eq!(loaded.fingerprint, fingerprint, "cache hit");
+    let dfa = deserialize_analysis(&g, &serialize_analysis(&g, &fresh)).expect("--dfa load");
+    assert_eq!(dfa.fingerprint, fingerprint, "--dfa load");
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! Robustness fuzzing for the serve transports: seeded serve-v1 request
 //! lines, some over the line bound, through the stdio transport, and seeded raw HTTP framing —
 //! truncated heads, bogus or huge `Content-Length`, non-UTF-8 bodies,
-//! early close — against a live accept loop. Every line must be
+//! early close — against a live accept loop. Each transport also gets
+//! one request nested far past the JSON depth cap. Every line must be
 //! answered in place; every connection must be answered or closed; and
 //! no handler may panic (a panic would surface when the accept loop's
 //! scope joins). Afterwards the daemon is still healthy and
@@ -33,6 +34,16 @@ fn server() -> Server {
 
 fn json_string(s: &str) -> String {
     llstar::core::Json::Str(s.to_string()).to_string()
+}
+
+/// A request line, well under the line bound, whose extra field nests
+/// 50,000 arrays deep: it must be answered `bad-request`, not overflow
+/// the stack that parses it.
+fn nested_line() -> String {
+    format!(
+        r#"{{"type":"request","id":1,"grammar":"Json","mode":"tree","input":"[1]","extra":{}}}"#,
+        "[".repeat(50_000)
+    )
 }
 
 /// One serve-v1 request line: well-formed, mangled, or garbage.
@@ -75,6 +86,11 @@ fn stdio_answers_every_fuzzed_line_in_place() {
             input.push(b'\n');
             expected += 1;
         }
+        if i == 200 {
+            input.extend_from_slice(nested_line().as_bytes());
+            input.push(b'\n');
+            expected += 1;
+        }
         let mut line = request_line(&mut rng).replace(['\n', '\r'], " ").into_bytes();
         if rng.gen_bool(0.05) {
             line.extend_from_slice(&[0xff, 0xfe, b'x']); // not UTF-8
@@ -93,6 +109,12 @@ fn stdio_answers_every_fuzzed_line_in_place() {
         llstar::core::Json::parse(line).unwrap_or_else(|e| panic!("{e}: {line}"));
     }
     assert!(text.contains("\"error\":\"oversized\",\"message\":\"request line"), "{text}");
+    assert!(
+        text.contains(
+            "\"error\":\"bad-request\",\"message\":\"malformed request line: nesting deeper than"
+        ),
+        "{text}"
+    );
     server.shutdown();
 }
 
@@ -177,7 +199,17 @@ fn http_answers_or_closes_every_fuzzed_connection() {
     std::thread::scope(|scope| {
         let accept = scope.spawn(|| run_http(&server, listener));
         let _drain = DrainOnDrop(&server);
-        for _ in 0..300 {
+        for i in 0..300 {
+            if i == 150 {
+                let line = nested_line();
+                let raw = format!(
+                    "POST /parse HTTP/1.1\r\nContent-Length: {}\r\n\r\n{line}\n",
+                    line.len() + 1
+                );
+                let text = String::from_utf8_lossy(&exchange(&addr, raw.as_bytes())).into_owned();
+                assert!(text.starts_with("HTTP/1.1 200 "), "{text}");
+                assert!(text.contains("\"error\":\"bad-request\""), "{text}");
+            }
             let raw = http_request(&mut rng, max_body);
             if rng.gen_bool(0.05) {
                 // Early close: connect, maybe send, and go away.

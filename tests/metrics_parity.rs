@@ -11,9 +11,9 @@
 //! [`ParseSession`]: llstar::runtime::ParseSession
 
 use llstar::codegen::{generate_with, CodegenOptions};
-use llstar::core::{grammar_fingerprint, GrammarAnalysis};
+use llstar::core::GrammarAnalysis;
 use llstar::grammar::Grammar;
-use llstar::runtime::{MetricsSnapshot, NopHooks, ParseSession, Parser, TokenStream};
+use llstar::runtime::{NopHooks, ParseMetrics, ParseSession, Parser, TokenStream};
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
@@ -21,12 +21,12 @@ mod common;
 use common::{compile_generated, corpus_files, load_grammar, smoke_file, SUITE_STEMS};
 
 /// Parses a corpus with fresh interpreter instances (one per file,
-/// matching the generated driver's lifecycle) and folds each parse's
-/// snapshot into one accumulated snapshot.
+/// matching the generated driver's lifecycle), merges each parse's
+/// counters into one accumulator, and labels the sum once.
 fn interpreter_metrics(g: &Grammar, a: &GrammarAnalysis, files: &[PathBuf]) -> String {
     let start = g.start_rule().name.clone();
     let scanner = g.lexer.build().expect("lexer builds");
-    let mut acc = MetricsSnapshot::empty(grammar_fingerprint(g));
+    let mut acc = ParseMetrics::new(a.atn.decisions.len());
     for file in files {
         let input = std::fs::read_to_string(file).expect("corpus file readable");
         let tokens = scanner.tokenize(&input).expect("corpus input lexes");
@@ -34,9 +34,10 @@ fn interpreter_metrics(g: &Grammar, a: &GrammarAnalysis, files: &[PathBuf]) -> S
         parser
             .parse_to_eof(&start)
             .unwrap_or_else(|e| panic!("interpreter failed on {file:?}: {e}"));
-        acc.merge(&parser.metrics_snapshot());
+        acc.merge(parser.metrics());
     }
-    acc.to_json("parity", false)
+    acc.snapshot(a.fingerprint, |d| g.rule(a.atn.decisions[d].rule).name.clone())
+        .to_json("parity", false)
 }
 
 /// Parses the corpus through one recycled [`ParseSession`] and renders

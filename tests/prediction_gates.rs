@@ -6,9 +6,9 @@
 //! snapshots must agree byte for byte.
 
 use llstar::codegen::{generate_with, CodegenOptions};
-use llstar::core::{grammar_fingerprint, GrammarAnalysis};
+use llstar::core::GrammarAnalysis;
 use llstar::grammar::Grammar;
-use llstar::runtime::{MetricsSnapshot, NopHooks, Parser, TokenStream};
+use llstar::runtime::{MetricsSnapshot, NopHooks, ParseMetrics, Parser, TokenStream};
 use std::path::PathBuf;
 use std::process::Command;
 
@@ -44,16 +44,16 @@ WS : [ \n]+ -> skip ;
 /// deterministic metric snapshot.
 fn interpret(g: &Grammar, a: &GrammarAnalysis, inputs: &[&str]) -> (Vec<String>, MetricsSnapshot) {
     let scanner = g.lexer.build().expect("lexer builds");
-    let mut acc = MetricsSnapshot::empty(grammar_fingerprint(g));
+    let mut acc = ParseMetrics::new(a.atn.decisions.len());
     let mut trees = Vec::new();
     for input in inputs {
         let tokens = scanner.tokenize(input).expect("input lexes");
         let mut parser = Parser::new(g, a, TokenStream::new(tokens), NopHooks);
         let tree = parser.parse_to_eof("s").unwrap_or_else(|e| panic!("{input:?}: {e}"));
         trees.push(tree.to_sexpr(g, input));
-        acc.merge(&parser.metrics_snapshot());
+        acc.merge(parser.metrics());
     }
-    (trees, acc)
+    (trees, acc.snapshot(a.fingerprint, |d| g.rule(a.atn.decisions[d].rule).name.clone()))
 }
 
 /// The generated parser's trees and merged metric JSON over `inputs`.
