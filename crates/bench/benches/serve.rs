@@ -28,13 +28,7 @@ fn entries() -> Vec<GrammarEntry> {
         .map(|e| {
             let grammar = e.load();
             let analysis = analyze(&grammar);
-            GrammarEntry {
-                name: grammar.name.clone(),
-                start_rule: grammar.start_rule().name.clone(),
-                grammar,
-                analysis,
-                cache_status: None,
-            }
+            GrammarEntry::new(grammar, analysis, None).expect("gauntlet lexers build")
         })
         .collect()
 }

@@ -14,7 +14,7 @@ use crate::atn::{Atn, AtnEdge, Decision, DecisionId};
 use crate::compiled::CompiledTables;
 use crate::config::{Config, PredSource, StackArena, StackId};
 use crate::dfa::{DfaState, DfaStateId, LookaheadDfa};
-use crate::fxhash::FxHashMap;
+use crate::fxhash::{FxHashMap, FxHashSet};
 use crate::metrics::{DecisionMetrics, FallbackReason};
 use crate::recovery::RecoverySets;
 use llstar_grammar::Grammar;
@@ -380,10 +380,17 @@ enum Abort {
 }
 
 /// The closure working set for one DFA state under construction.
+///
+/// `busy` is the closure's visited set; `configs` lists the same
+/// configurations in first-visit order and is sorted before `resolve`
+/// reads it. Closure never visits a
+/// configuration twice, so the sorted vector holds exactly what a
+/// `BTreeSet<Config>` would, in its iteration order: intern keys, state
+/// numbering and warning order do not depend on the representation.
 #[derive(Debug, Default)]
 struct StateCtx {
-    configs: BTreeSet<Config>,
-    busy: BTreeSet<Config>,
+    configs: Vec<Config>,
+    busy: FxHashSet<Config>,
     recursive_alts: BTreeSet<u16>,
     overflowed: bool,
     /// Whether predicates encountered during this closure are hoisted
@@ -393,6 +400,17 @@ struct StateCtx {
     /// deeper states, configurations keep the predicates they inherited
     /// from D0 through move().
     capture_preds: bool,
+}
+
+impl StateCtx {
+    /// Empties the set for the next `move` target, keeping `busy`'s
+    /// allocation.
+    fn reset(&mut self) {
+        self.configs = Vec::new();
+        self.busy.clear();
+        self.recursive_alts.clear();
+        self.overflowed = false;
+    }
 }
 
 /// How `resolve` disposed of a state.
@@ -423,8 +441,7 @@ struct DfaBuilder<'a> {
     interned: FxHashMap<(Vec<Config>, u32), DfaStateId>,
     /// One shared accept state per alternative (the paper's `f_i`).
     accept_states: FxHashMap<u16, DfaStateId>,
-    /// Configs per live (expandable) DFA state.
-    state_configs: Vec<Option<Vec<Config>>>,
+    /// Lookahead depth per DFA state (`u32::MAX` for accept states).
     state_depth: Vec<u32>,
     warnings: Vec<AnalysisWarning>,
     metrics: DecisionMetrics,
@@ -450,7 +467,6 @@ impl<'a> DfaBuilder<'a> {
             dfa: LookaheadDfa::new(decision.id),
             interned: FxHashMap::default(),
             accept_states: FxHashMap::default(),
-            state_configs: vec![None],
             state_depth: vec![0],
             warnings: Vec::new(),
             metrics: DecisionMetrics::default(),
@@ -461,67 +477,57 @@ impl<'a> DfaBuilder<'a> {
     fn build(&mut self) -> Result<LookaheadDfa, Abort> {
         self.metrics.dfa_builds += 1;
         self.metrics.dfa_states += 1; // D0, created in `new`.
-                                      // D0: closure over one configuration per alternative, seeded from
-                                      // the decision state's ordered ε edges.
+
+        // D0: closure over one configuration per alternative, seeded from
+        // the decision state's ordered ε edges. The paper's createDFA only
+        // resolves states reached by move(): D0 is expanded unconditionally
+        // (conflicts materialize, and are pruned, in its successors).
         let mut ctx = StateCtx { capture_preds: true, ..Default::default() };
-        let decision_state = &self.atn.states[self.decision.state];
-        let alt_targets: Vec<_> = decision_state.edges.iter().map(|(_, t)| *t).collect();
-        for (i, target) in alt_targets.iter().enumerate() {
+        let atn = self.atn;
+        for (i, (_, target)) in atn.states[self.decision.state].edges.iter().enumerate() {
             self.closure(&mut ctx, Config::initial(*target, i as u16 + 1))?;
         }
-        let mut work: Vec<DfaStateId> = Vec::new();
-        match self.resolve(&mut ctx, 0) {
-            Resolution::Continue => {
-                let configs: Vec<Config> = ctx.configs.iter().copied().collect();
-                self.interned.insert((configs.clone(), self.intern_depth(0)), 0);
-                self.state_configs[0] = Some(configs);
-                if single_alt(&ctx.configs).is_some() {
-                    // Degenerate: everything predicts one alternative.
-                    let alt = single_alt(&ctx.configs).expect("checked");
-                    self.dfa.states[0].accept = Some(alt);
-                } else {
-                    work.push(0);
-                }
-            }
-            Resolution::Accept(alt) => {
-                self.dfa.states[0].accept = Some(alt);
-            }
-            Resolution::Predicated { preds, default_alt } => {
-                self.dfa.states[0].preds = preds;
-                self.dfa.states[0].default_alt = default_alt;
-            }
+        ctx.configs.sort_unstable();
+        // Live (expandable) states with their configurations; the intern
+        // map holds the only other copy.
+        let mut work: Vec<(DfaStateId, Vec<Config>)> = Vec::new();
+        self.interned.insert((ctx.configs.clone(), self.intern_depth(0)), 0);
+        if let Some(alt) = single_alt(&ctx.configs) {
+            // Degenerate: everything predicts one alternative.
+            self.dfa.states[0].accept = Some(alt);
+        } else {
+            work.push((0, ctx.configs));
         }
 
-        while let Some(d) = work.pop() {
-            let configs = self.state_configs[d].clone().expect("live state has configs");
-            // T_D: tokens with outgoing edges from any configuration.
-            let mut tokens: BTreeSet<TokenType> = BTreeSet::new();
+        let mut ctx = StateCtx::default();
+        let mut moves: Vec<(TokenType, Config)> = Vec::new();
+        while let Some((d, configs)) = work.pop() {
+            // move(D, a) for every token a at once: each configuration's
+            // token edges, in configuration then edge order, grouped by
+            // token with that order kept (the sort is stable). Each
+            // token's closure starts from its move targets in that order,
+            // which fixes its DFS order and where an abort stops it.
+            moves.clear();
             for c in &configs {
-                for (edge, _) in &self.atn.states[c.state].edges {
+                for (edge, target) in &atn.states[c.state].edges {
                     if let AtnEdge::Token(t) = edge {
-                        tokens.insert(*t);
+                        moves.push((*t, Config { state: *target, ..*c }));
                     }
                 }
             }
-            for token in tokens {
-                let mut ctx = StateCtx::default();
-                // move(D, a) then closure.
-                for c in &configs {
-                    for (edge, target) in &self.atn.states[c.state].edges {
-                        if matches!(edge, AtnEdge::Token(t) if *t == token) {
-                            self.closure(&mut ctx, Config { state: *target, ..*c })?;
-                        }
-                    }
+            moves.sort_by_key(|&(t, _)| t);
+            let depth = self.state_depth[d] + 1;
+            for group in moves.chunk_by(|a, b| a.0 == b.0) {
+                let token = group[0].0;
+                ctx.reset();
+                for &(_, c) in group {
+                    self.closure(&mut ctx, c)?;
                 }
-                if ctx.configs.is_empty() {
-                    continue;
-                }
-                let depth = self.state_depth[d] + 1;
+                ctx.configs.sort_unstable();
                 let target = match self.resolve(&mut ctx, depth) {
                     Resolution::Accept(alt) => self.accept_state(alt),
                     Resolution::Predicated { preds, default_alt } => {
-                        let canonical: Vec<Config> = ctx.configs.iter().copied().collect();
-                        let key = (canonical, self.intern_depth(depth));
+                        let key = (std::mem::take(&mut ctx.configs), self.intern_depth(depth));
                         if let Some(&existing) = self.interned.get(&key) {
                             existing
                         } else {
@@ -535,13 +541,13 @@ impl<'a> DfaBuilder<'a> {
                         if let Some(alt) = single_alt(&ctx.configs) {
                             self.accept_state(alt)
                         } else {
-                            let canonical: Vec<Config> = ctx.configs.iter().copied().collect();
-                            let key = (canonical, self.intern_depth(depth));
+                            let key = (std::mem::take(&mut ctx.configs), self.intern_depth(depth));
                             if let Some(&existing) = self.interned.get(&key) {
                                 existing
                             } else {
+                                let configs = key.0.clone();
                                 let id = self.push_state(key, depth)?;
-                                work.push(id);
+                                work.push((id, configs));
                                 id
                             }
                         }
@@ -571,7 +577,6 @@ impl<'a> DfaBuilder<'a> {
         let id = self.dfa.states.len();
         self.metrics.dfa_states += 1;
         self.dfa.states.push(DfaState::default());
-        self.state_configs.push(Some(key.0.clone()));
         self.interned.insert(key, id);
         self.state_depth.push(depth);
         Ok(id)
@@ -585,7 +590,6 @@ impl<'a> DfaBuilder<'a> {
         let id = self.dfa.states.len();
         self.metrics.dfa_states += 1;
         self.dfa.states.push(DfaState { accept: Some(alt), ..Default::default() });
-        self.state_configs.push(None);
         self.state_depth.push(u32::MAX);
         self.accept_states.insert(alt, id);
         id
@@ -597,32 +601,27 @@ impl<'a> DfaBuilder<'a> {
         if !ctx.busy.insert(c) {
             return Ok(());
         }
-        if ctx.configs.insert(c) {
-            self.metrics.configs_created += 1;
-        }
-        let state = &self.atn.states[c.state];
+        ctx.configs.push(c);
+        self.metrics.configs_created += 1;
+        // The ATN outlives `self`'s borrow: edge lists are walked in
+        // place while the recursion mutates the builder.
+        let atn = self.atn;
+        let state = &atn.states[c.state];
 
-        if self.atn.is_stop_state(c.state) {
+        if atn.is_stop_state(c.state) {
             if let Some((ret, rest)) = self.stacks.pop(c.stack) {
                 self.closure(ctx, Config { state: ret, stack: rest, ..c })?;
-            } else if self.atn.is_fragment_stop(c.state) {
+            } else if atn.is_fragment_stop(c.state) {
                 // End of a syntactic-predicate fragment: anything may
                 // follow a successful speculative match.
                 self.closure(
                     ctx,
-                    Config {
-                        state: self.atn.any_follow,
-                        stack: StackId::EMPTY,
-                        followed: true,
-                        ..c
-                    },
+                    Config { state: atn.any_follow, stack: StackId::EMPTY, followed: true, ..c },
                 )?;
             } else {
                 // Empty stack: any caller could have invoked this rule;
                 // chase every follow state (ε wildcard, Definition 6).
-                let rule = state.rule;
-                let followers = self.atn.rule_followers[rule.index()].clone();
-                for follow in followers {
+                for &follow in &atn.rule_followers[state.rule.index()] {
                     self.closure(
                         ctx,
                         Config { state: follow, stack: StackId::EMPTY, followed: true, ..c },
@@ -632,9 +631,9 @@ impl<'a> DfaBuilder<'a> {
             return Ok(());
         }
 
-        let edges = state.edges.clone();
-        for (edge, target) in edges {
-            match edge {
+        for (edge, target) in &state.edges {
+            let target = *target;
+            match *edge {
                 AtnEdge::Token(_) => {}
                 AtnEdge::Epsilon => {
                     self.closure(ctx, Config { state: target, ..c })?;
@@ -696,12 +695,6 @@ impl<'a> DfaBuilder<'a> {
     /// the forced-termination cases (recursion overflow and the fixed-k
     /// depth limit).
     fn resolve(&mut self, ctx: &mut StateCtx, depth: u32) -> Resolution {
-        // The paper's createDFA only resolves states reached by move();
-        // the start state D0 is expanded unconditionally (conflicts
-        // materialize, and are pruned, in its successors).
-        if depth == 0 {
-            return Resolution::Continue;
-        }
         self.metrics.resolve_calls += 1;
         let conflicts = self.conflict_alts(ctx);
         let depth_limited = self.max_k.is_some_and(|k| depth >= k);
@@ -781,16 +774,11 @@ impl<'a> DfaBuilder<'a> {
 
     /// Definition 7: alternatives appearing in conflicting configurations
     /// (same ATN state, equivalent stacks, different alternatives).
+    /// `ctx.configs` is sorted and `Config` orders by state first, so each
+    /// ATN state's configurations form one contiguous run.
     fn conflict_alts(&self, ctx: &StateCtx) -> Vec<u16> {
-        let mut by_state: BTreeMap<usize, Vec<&Config>> = BTreeMap::new();
-        for c in &ctx.configs {
-            by_state.entry(c.state).or_default().push(c);
-        }
         let mut conflict: BTreeSet<u16> = BTreeSet::new();
-        for group in by_state.values() {
-            if group.len() < 2 {
-                continue;
-            }
+        for group in ctx.configs.chunk_by(|a, b| a.state == b.state) {
             for (i, a) in group.iter().enumerate() {
                 for b in &group[i + 1..] {
                     if a.alt != b.alt && self.stacks.equivalent(a.stack, b.stack) {
@@ -804,7 +792,7 @@ impl<'a> DfaBuilder<'a> {
     }
 }
 
-fn single_alt(configs: &BTreeSet<Config>) -> Option<u16> {
+fn single_alt(configs: &[Config]) -> Option<u16> {
     let mut alts = configs.iter().map(|c| c.alt);
     let first = alts.next()?;
     alts.all(|a| a == first).then_some(first)

@@ -39,6 +39,8 @@ impl StackId {
 pub struct StackArena {
     /// `nodes[id-1] = (top, rest)`; id 0 is the empty stack.
     nodes: Vec<(AtnStateId, StackId)>,
+    /// `depths[id-1]`: the depth of stack `id`.
+    depths: Vec<u32>,
     intern: FxHashMap<(AtnStateId, StackId), StackId>,
 }
 
@@ -54,6 +56,7 @@ impl StackArena {
             return id;
         }
         self.nodes.push((state, stack));
+        self.depths.push(self.depth(stack) as u32 + 1);
         let id = StackId(self.nodes.len() as u32);
         self.intern.insert((state, stack), id);
         id
@@ -92,24 +95,29 @@ impl StackArena {
     }
 
     /// Stack depth.
-    pub fn depth(&self, mut stack: StackId) -> usize {
-        let mut n = 0;
-        while let Some((_, rest)) = self.pop(stack) {
-            n += 1;
-            stack = rest;
+    pub fn depth(&self, stack: StackId) -> usize {
+        if stack.is_empty() {
+            0
+        } else {
+            self.depths[stack.0 as usize - 1] as usize
         }
-        n
     }
 
     /// Definition 6 equivalence: equal, at least one empty, or one a
-    /// suffix of the other.
+    /// suffix of the other. Interning is canonical (equal stacks have
+    /// equal ids) and a cons list's suffix of length *n* is what is left
+    /// after popping down to depth *n*, so "one is a suffix of the other"
+    /// is: pop the deeper stack to the shallower one's depth and compare
+    /// ids. That costs the depth difference and allocates nothing.
     pub fn equivalent(&self, a: StackId, b: StackId) -> bool {
         if a == b || a.is_empty() || b.is_empty() {
             return true;
         }
-        let (va, vb) = (self.to_vec(a), self.to_vec(b));
-        let (short, long) = if va.len() <= vb.len() { (&va, &vb) } else { (&vb, &va) };
-        long[long.len() - short.len()..] == short[..]
+        let (short, mut long) = if self.depth(a) <= self.depth(b) { (a, b) } else { (b, a) };
+        for _ in self.depth(short)..self.depth(long) {
+            long = self.nodes[long.0 as usize - 1].1;
+        }
+        long == short
     }
 }
 
@@ -256,6 +264,28 @@ mod tests {
                 sy = a.push(sy, s);
             }
             assert_eq!(a.equivalent(sx, sy), a.equivalent(sy, sx), "{xs:?} vs {ys:?}");
+        }
+    }
+
+    /// The depth-indexed check agrees with Definition 6 spelled out on
+    /// the stacks' contents, and `depth` with the vector's length.
+    #[test]
+    fn prop_equivalence_matches_vector_suffix_check() {
+        let mut rng = Rng64::seed_from_u64(0xc0f4);
+        let mut a = StackArena::new();
+        let mut ids = vec![StackId::EMPTY];
+        for _ in 0..256 {
+            let base = ids[rng.gen_range(0..ids.len())];
+            let pushed = a.push(base, rng.gen_range(0usize..4));
+            ids.push(pushed);
+        }
+        for &x in &ids {
+            assert_eq!(a.depth(x), a.to_vec(x).len());
+            for &y in &ids {
+                let (vx, vy) = (a.to_vec(x), a.to_vec(y));
+                let expect = vx.ends_with(&vy) || vy.ends_with(&vx);
+                assert_eq!(a.equivalent(x, y), expect, "{vx:?} vs {vy:?}");
+            }
         }
     }
 

@@ -40,7 +40,7 @@ pub mod compiled;
 pub mod config;
 pub mod coverage;
 pub mod dfa;
-pub mod fxhash;
+pub use llstar_lexer::fxhash;
 pub mod json;
 pub mod metrics;
 pub mod recovery;

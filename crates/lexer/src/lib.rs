@@ -29,6 +29,7 @@
 
 pub mod charclass;
 pub mod dfa;
+pub mod fxhash;
 pub mod nfa;
 pub mod regex;
 pub mod scanner;

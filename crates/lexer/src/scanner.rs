@@ -212,12 +212,7 @@ impl Scanner {
         input: &str,
         class_map: &[u8],
     ) -> Result<Vec<Token>, LexError> {
-        let class_of = |ttype: TokenType| class_map.get(ttype.index()).copied().unwrap_or(0);
-        let mut tokens = self.tokenize(input)?;
-        for tok in &mut tokens {
-            tok.class = class_of(tok.ttype);
-        }
-        Ok(tokens)
+        self.scan(input, LexPath::Table, class_map)
     }
 
     /// Tokenizes `input` over an explicit [`LexPath`]. `Table` falls back
@@ -227,6 +222,15 @@ impl Scanner {
     /// # Errors
     /// Returns a [`LexError`] at the first position where no rule matches.
     pub fn tokenize_path(&self, input: &str, path: LexPath) -> Result<Vec<Token>, LexError> {
+        self.scan(input, path, &[])
+    }
+
+    /// The maximal-munch loop behind [`Scanner::tokenize_path`] and
+    /// [`Scanner::tokenize_classified`]: each token (EOF included) is
+    /// stamped with `class_map[ttype]` as it is pushed, class 0 for a
+    /// type the map does not cover (every type, for an empty map).
+    fn scan(&self, input: &str, path: LexPath, class_map: &[u8]) -> Result<Vec<Token>, LexError> {
+        let class_of = |ttype: TokenType| class_map.get(ttype.index()).copied().unwrap_or(0);
         let tables = match (path, &self.tables) {
             (LexPath::Scalar, _) | (_, None) => None,
             (LexPath::Table, Some(t)) => Some(t),
@@ -246,12 +250,9 @@ impl Scanner {
                     debug_assert!(len > 0, "scanner rules are non-nullable");
                     let rule = &self.rules[rule_idx];
                     if !rule.skip {
-                        tokens.push(Token::new(
-                            rule.ttype,
-                            Span::new(offset, offset + len),
-                            line,
-                            col,
-                        ));
+                        let span = Span::new(offset, offset + len);
+                        let token = Token::new(rule.ttype, span, line, col);
+                        tokens.push(token.with_class(class_of(rule.ttype)));
                     }
                     let text = &rest.as_bytes()[..len];
                     if text.is_ascii() {
@@ -281,7 +282,7 @@ impl Scanner {
                 }
             }
         }
-        tokens.push(Token::eof(offset, line, col));
+        tokens.push(Token::eof(offset, line, col).with_class(class_of(TokenType::EOF)));
         Ok(tokens)
     }
 

@@ -71,29 +71,48 @@ impl<'g, H: Hooks> ParseSession<'g, H> {
         start_rule: &str,
         hooks: H,
     ) -> Result<Self, LexBuildError> {
-        assert!(grammar.rule_by_name(start_rule).is_some(), "unknown start rule {start_rule:?}");
         let scanner = grammar.lexer.build()?;
+        Ok(Self::with_scanner(grammar, analysis, start_rule, scanner, hooks))
+    }
+
+    /// [`ParseSession::new`] over a scanner the caller already built from
+    /// `grammar.lexer` (a daemon builds each grammar's scanner once and
+    /// hands every session a clone).
+    ///
+    /// # Panics
+    /// Panics if `start_rule` is not a rule of the grammar.
+    pub fn with_scanner(
+        grammar: &'g Grammar,
+        analysis: &'g GrammarAnalysis,
+        start_rule: &str,
+        scanner: Scanner,
+        hooks: H,
+    ) -> Self {
+        assert!(grammar.rule_by_name(start_rule).is_some(), "unknown start rule {start_rule:?}");
         let parser =
             Parser::new(grammar, analysis, TokenStream::new(vec![Token::eof(0, 1, 1)]), hooks);
         let metrics = ParseMetrics::new(analysis.atn.decisions.len());
         let class_map = analysis.tables.classes().map(|c| c.map().to_vec());
-        Ok(ParseSession {
+        ParseSession {
             scanner,
             parser,
             start_rule: start_rule.to_string(),
             class_map,
             parses: 0,
             metrics,
-        })
+        }
     }
 
     /// Lexes `source` and parses it to EOF, recycling the parser state
-    /// from the previous input.
+    /// from the previous input. The recorded latency covers lexing and
+    /// parsing, as a daemon's request latency does; an input that fails
+    /// to lex counts as no parse and records no latency.
     ///
     /// # Errors
     /// Returns [`SessionError::Lex`] when tokenization fails and
     /// [`SessionError::Parse`] when parsing does.
     pub fn parse_to_eof(&mut self, source: &str) -> Result<ParseTree, SessionError> {
+        let started = std::time::Instant::now();
         let stream = match &self.class_map {
             Some(map) => TokenStream::new_classified(
                 self.scanner.tokenize_classified(source, map).map_err(SessionError::Lex)?,
@@ -103,7 +122,6 @@ impl<'g, H: Hooks> ParseSession<'g, H> {
         self.parser.reset(stream);
         self.parses += 1;
         let start = self.start_rule.clone();
-        let started = std::time::Instant::now();
         let result = self.parser.parse_to_eof(&start).map_err(SessionError::Parse);
         let micros = started.elapsed().as_micros() as u64;
         if self.parser.metrics().enabled() {
@@ -377,5 +395,30 @@ mod tests {
         assert!(matches!(session.parse_to_eof("a = ;"), Err(SessionError::Parse(_))));
         // The session stays usable after both failure modes.
         session.parse_to_eof("a = 1;").expect("recovers");
+    }
+
+    #[test]
+    fn lex_errors_record_no_parse_and_no_latency() {
+        let (g, a) = setup();
+        let mut session = ParseSession::new(&g, &a, "s", NopHooks).expect("session");
+        session.parse_to_eof("a = 1;").expect("parses");
+        let samples = |s: &ParseSession<'_, NopHooks>| s.metrics().latency_hist.iter().sum::<u64>();
+        let (parses, latencies) = (session.parses(), samples(&session));
+        assert_eq!((parses, latencies), (1, 1));
+        assert!(matches!(session.parse_to_eof("a = ?;"), Err(SessionError::Lex(_))));
+        assert_eq!(session.parses(), parses, "a lex failure counted as a parse");
+        assert_eq!(samples(&session), latencies, "a lex failure recorded a latency sample");
+    }
+
+    #[test]
+    fn sessions_over_a_shared_scanner_parse_like_fresh_ones() {
+        let (g, a) = setup();
+        let scanner = g.lexer.build().expect("lexer");
+        let mut shared = ParseSession::with_scanner(&g, &a, "s", scanner.clone(), NopHooks);
+        let mut own = ParseSession::new(&g, &a, "s", NopHooks).expect("session");
+        for input in ["a = 1;", "b = a + 2;\nc = b + b + 3;"] {
+            let (x, y) = (shared.parse_to_eof(input).expect("parses"), own.parse_to_eof(input));
+            assert_eq!(format!("{x:?}"), format!("{:?}", y.expect("parses")));
+        }
     }
 }
