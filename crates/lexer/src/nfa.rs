@@ -136,26 +136,7 @@ impl Nfa {
 
     /// Epsilon closure of a set of states (sorted, deduplicated).
     pub fn eps_closure(&self, seed: &[NfaStateId]) -> Vec<NfaStateId> {
-        let mut seen = vec![false; self.states.len()];
-        let mut stack: Vec<NfaStateId> = Vec::with_capacity(seed.len());
-        for &s in seed {
-            if !seen[s] {
-                seen[s] = true;
-                stack.push(s);
-            }
-        }
-        let mut out = Vec::new();
-        while let Some(s) = stack.pop() {
-            out.push(s);
-            for &t in &self.states[s].eps {
-                if !seen[t] {
-                    seen[t] = true;
-                    stack.push(t);
-                }
-            }
-        }
-        out.sort_unstable();
-        out
+        EpsClosure::new(self).of(self, seed)
     }
 
     /// Simulates the NFA on `input`, returning the longest match length and
@@ -204,6 +185,47 @@ impl Nfa {
 impl Default for Nfa {
     fn default() -> Self {
         Self::new()
+    }
+}
+
+/// ε-closure with its visited marks kept between calls: a state is
+/// visited in the current call when its mark equals the call's
+/// generation, so repeated closures over one NFA (the scanner subset
+/// construction takes one per DFA transition) never clear or reallocate
+/// a per-NFA-state array.
+pub(crate) struct EpsClosure {
+    mark: Vec<u32>,
+    generation: u32,
+    stack: Vec<NfaStateId>,
+}
+
+impl EpsClosure {
+    pub(crate) fn new(nfa: &Nfa) -> Self {
+        EpsClosure { mark: vec![0; nfa.states.len()], generation: 0, stack: Vec::new() }
+    }
+
+    /// The ε-closure of `seed`, sorted and deduplicated.
+    pub(crate) fn of(&mut self, nfa: &Nfa, seed: &[NfaStateId]) -> Vec<NfaStateId> {
+        self.generation += 1;
+        let generation = self.generation;
+        let mut out = Vec::new();
+        for &s in seed {
+            if self.mark[s] != generation {
+                self.mark[s] = generation;
+                self.stack.push(s);
+            }
+        }
+        while let Some(s) = self.stack.pop() {
+            out.push(s);
+            for &t in &nfa.states[s].eps {
+                if self.mark[t] != generation {
+                    self.mark[t] = generation;
+                    self.stack.push(t);
+                }
+            }
+        }
+        out.sort_unstable();
+        out
     }
 }
 
